@@ -2,8 +2,8 @@
 //
 // For each canned validity property and (n, t), this reports the Theorem 4
 // verdict (trivial / CC / authenticated / unauthenticated) and times the
-// exact CC decision procedure (whose cost is the |I| * |Cnt| * |V_O|
-// enumeration).
+// exact CC decision procedure (one level-by-level pass over I per 64-value
+// block of V_O; docs/RUNTIME_PERF.md §5).
 //
 // Expected shape:
 //   weak, sender, IC   : CC holds at every resilience (auth-solvable always,

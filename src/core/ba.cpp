@@ -26,30 +26,13 @@ class TrivialSolver final : public protocols::DecidingProcess {
   Value v_;
 };
 
-std::optional<Value> find_trivial_value(
-    const validity::ValidityProperty& val, const SystemParams& params) {
-  for (const Value& v : val.output_domain) {
-    bool always = true;
-    validity::for_each_input_config(
-        params.n, params.t, val.input_domain,
-        [&](const validity::InputConfig& c) {
-          if (!val.admissible(c, v)) {
-            always = false;
-            return false;
-          }
-          return true;
-        });
-    if (always) return v;
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::optional<ProtocolFactory> AgreementProblem::make_solver(
     bool authenticated,
     std::shared_ptr<const crypto::Authenticator> auth) const {
-  if (auto trivial = find_trivial_value(property_, params_)) {
+  if (auto trivial =
+          validity::trivial_value(property_, params_.n, params_.t)) {
     Value v = *trivial;
     return ProtocolFactory{[v](const ProcessContext&) {
       return std::make_unique<TrivialSolver>(v);

@@ -1,6 +1,7 @@
 #include "validity/input_config.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace ba::validity {
 
@@ -135,50 +136,56 @@ bool for_each_contained(const InputConfig& c, std::uint32_t t,
 bool for_each_input_config(std::uint32_t n, std::uint32_t t,
                            const std::vector<Value>& input_domain,
                            const std::function<bool(const InputConfig&)>& fn) {
-  // Choose the correct set (size >= n - t), then assign proposals.
-  std::vector<std::optional<Value>> slots(n);
-
-  std::function<bool(std::uint32_t, std::uint32_t)> assign =
-      [&](std::uint32_t i, std::uint32_t correct_left) -> bool {
-    if (i == n) {
-      return correct_left == 0 ? fn(InputConfig{slots}) : true;
-    }
-    const std::uint32_t remaining = n - i;
-    // Option 1: process i faulty (only if enough slots remain).
-    if (remaining > correct_left) {
-      slots[i].reset();
-      if (!assign(i + 1, correct_left)) return false;
-    }
-    // Option 2: process i correct with each possible proposal.
-    if (correct_left > 0) {
-      for (const Value& v : input_domain) {
-        slots[i] = v;
-        if (!assign(i + 1, correct_left - 1)) return false;
-      }
-      slots[i].reset();
-    }
-    return true;
-  };
-
+  LevelWalk walk(n, input_domain);
   for (std::uint32_t x = n - t; x <= n; ++x) {
-    if (!assign(0, x)) return false;
+    if (!walk.walk(x, [&] { return fn(walk.config()); })) return false;
   }
   return true;
 }
 
+namespace {
+
+constexpr std::uint64_t kSaturated = std::numeric_limits<std::uint64_t>::max();
+
+std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_mul_overflow(a, b, &r) ? kSaturated : r;
+}
+
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_add_overflow(a, b, &r) ? kSaturated : r;
+}
+
+/// C(a, b), saturating. With b <= a / 2 every partial product C(a, i) is at
+/// most the result, so the first one past UINT64_MAX decides saturation.
+std::uint64_t saturating_binom(std::uint64_t a, std::uint64_t b) {
+  if (b > a) return 0;
+  b = std::min(b, a - b);
+  unsigned __int128 r = 1;
+  for (std::uint64_t i = 0; i < b; ++i) {
+    r = r * (a - i) / (i + 1);
+    if (r > kSaturated) return kSaturated;
+  }
+  return static_cast<std::uint64_t>(r);
+}
+
+}  // namespace
+
+std::uint64_t count_level_configs(std::uint32_t n, std::uint32_t x,
+                                  std::size_t domain_size) {
+  std::uint64_t configs = saturating_binom(n, x);
+  for (std::uint32_t i = 0; i < x; ++i) {
+    configs = saturating_mul(configs, domain_size);
+  }
+  return configs;
+}
+
 std::uint64_t count_input_configs(std::uint32_t n, std::uint32_t t,
                                   std::size_t domain_size) {
-  auto binom = [](std::uint64_t a, std::uint64_t b) {
-    if (b > a) return std::uint64_t{0};
-    std::uint64_t r = 1;
-    for (std::uint64_t i = 0; i < b; ++i) r = r * (a - i) / (i + 1);
-    return r;
-  };
   std::uint64_t total = 0;
   for (std::uint32_t x = n - t; x <= n; ++x) {
-    std::uint64_t pw = 1;
-    for (std::uint32_t i = 0; i < x; ++i) pw *= domain_size;
-    total += binom(n, x) * pw;
+    total = saturating_add(total, count_level_configs(n, x, domain_size));
   }
   return total;
 }

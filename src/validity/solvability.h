@@ -33,11 +33,25 @@ std::vector<Value> containment_intersection(const ValidityProperty& val,
 std::optional<Value> gamma(const ValidityProperty& val, std::uint32_t t,
                            const InputConfig& c);
 
+/// The first v' in V_O admissible for every c in I, if any: the value a
+/// trivial problem decides with zero messages.
+std::optional<Value> trivial_value(const ValidityProperty& val,
+                                   std::uint32_t n, std::uint32_t t);
+
 /// Triviality: exists v' admissible for every c in I.
 bool is_trivial(const ValidityProperty& val, std::uint32_t n, std::uint32_t t);
 
 /// The containment condition: Γ(c) exists for every c in I. When it fails,
-/// `witness` (if non-null) receives a configuration with empty intersection.
+/// `witness` (if non-null) receives the first configuration, in
+/// for_each_input_config order, with empty intersection.
+///
+/// Decided level by level in |pi(c)| with
+///   Int(c) = val(c) ∩ ⋂_{i ∈ pi(c)} Int(c \ i)   when |pi(c)| > n - t,
+///   Int(c) = val(c)                               when |pi(c)| = n - t,
+/// since Cnt(c) = {c} ∪ ⋃_i Cnt(c \ i). One pass over I per 64-value block
+/// of V_O, with one word of Int per configuration of two adjacent levels
+/// live. Throws std::length_error when a level's table (or, for
+/// |V_O| > 64, the one bit per configuration of I) would not fit in memory.
 bool satisfies_cc(const ValidityProperty& val, std::uint32_t n,
                   std::uint32_t t, InputConfig* witness = nullptr);
 

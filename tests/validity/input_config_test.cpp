@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
+
+#include "validity/properties.h"
 
 namespace ba::validity {
 namespace {
@@ -119,6 +123,57 @@ TEST(ForEachInputConfig, LargerCounts) {
   EXPECT_EQ(count, 72u);
   // Ternary domain.
   EXPECT_EQ(count_input_configs(3, 1, 3), 3 * 9 + 27u);
+}
+
+TEST(ForEachInputConfig, OrderIsPinned) {
+  // Levels ascend; within a level slot 0 varies slowest, and a faulty slot
+  // precedes each proposal in domain order.
+  std::vector<std::string> seen;
+  for_each_input_config(3, 1, {Value::bit(0), Value::bit(1)},
+                        [&](const InputConfig& c) {
+                          std::string s;
+                          for (std::size_t i = 0; i < c.n(); ++i) {
+                            s += c[i] ? c[i]->to_string() : "-";
+                          }
+                          seen.push_back(s);
+                          return true;
+                        });
+  const std::vector<std::string> want = {
+      "-00", "-01", "-10", "-11", "0-0", "0-1", "00-", "01-", "1-0", "1-1",
+      "10-", "11-", "000", "001", "010", "011", "100", "101", "110", "111"};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(ForEachInputConfig, CountsMatchBruteForce) {
+  for (std::uint32_t n = 1; n <= 5; ++n) {
+    for (std::uint32_t t = 0; t <= n; ++t) {
+      for (std::size_t d = 1; d <= 3; ++d) {
+        std::uint64_t brute = 0;
+        for_each_input_config(n, t, int_domain(d), [&](const InputConfig&) {
+          ++brute;
+          return true;
+        });
+        EXPECT_EQ(count_input_configs(n, t, d), brute)
+            << "n=" << n << " t=" << t << " d=" << d;
+      }
+    }
+  }
+}
+
+TEST(ForEachInputConfig, CountsSaturateInsteadOfWrapping) {
+  // Exact just below 2^64 ...
+  EXPECT_EQ(count_input_configs(40, 20, 2), 12041538755408953344ull);
+  // ... saturating once the sum passes it (3.6e19 at (41, 20, 2)) or a
+  // single level does (C(64, 32) * 2^32 at (64, 32, 2)).
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(count_input_configs(41, 20, 2), kMax);
+  EXPECT_EQ(count_input_configs(64, 32, 2), kMax);
+  EXPECT_EQ(count_level_configs(64, 32, 2), kMax);
+  EXPECT_EQ(count_input_configs(40, 20, 3), kMax);
+  // C(67, 33) fits in 64 bits though its partial products do not;
+  // C(68, 34) does not fit.
+  EXPECT_EQ(count_level_configs(67, 33, 1), 14226520737620288370ull);
+  EXPECT_EQ(count_level_configs(68, 34, 1), kMax);
 }
 
 TEST(ForEachInputConfig, TZeroEnumeratesOnlyFullConfigs) {
