@@ -18,11 +18,37 @@
 namespace ba::lowerbound {
 namespace {
 
-/// Charts the message-vs-fault curve of one grid point: the fault-axis
-/// template at count f for f in 0..t, each compiled to an adversary and run
-/// once on `backend` with alternating-bit proposals. Pure, like sweep_point.
-std::vector<FaultCurvePoint> chart_fault_curve(
-    const ProtocolFactory& protocol, const SystemParams& params,
+/// The head piece of a grid point: the attack, the static bound, and the
+/// certificate verdict — everything in the row except its fault curve.
+/// A pure function of its arguments, like every piece.
+SweepRow sweep_head(const SweepEntry& entry, const SystemParams& params,
+                    const std::optional<statics::StaticBounds>& bounds,
+                    const SweepOptions& options) {
+  ProtocolFactory protocol = entry.make(params);
+  AttackReport report = attack_weak_consensus(params, protocol, options.attack);
+  SweepRow row;
+  row.protocol_name = entry.protocol_name;
+  row.params = params;
+  row.violation = report.violation_found;
+  row.max_messages = report.max_message_complexity;
+  row.bound = report.bound;
+  if (bounds) row.static_bound = statics::budget_at(*bounds, params).messages;
+  row.critical_round = report.critical_round;
+  if (report.certificate) {
+    row.violation_kind = to_string(report.certificate->kind);
+    row.certificate_verified =
+        verify_certificate(*report.certificate, protocol).ok;
+    row.certificate = encode_certificate(*report.certificate);
+  }
+  return row;
+}
+
+/// A curve piece: the fault-axis template at count f, compiled to an
+/// adversary and run once on the sweep's backend with alternating-bit
+/// proposals, under the attack's round cap. Only the message count and the
+/// decisions are read, so the run records no trace.
+FaultCurvePoint chart_fault_point(
+    const SweepEntry& entry, const SystemParams& params, std::uint32_t f,
     const std::optional<statics::StaticBounds>& bounds,
     const SweepOptions& options) {
   const engine::ExecutionBackend& backend = options.attack.backend
@@ -33,55 +59,39 @@ std::vector<FaultCurvePoint> chart_fault_curve(
   for (std::uint32_t p = 0; p < params.n; ++p) {
     proposals.push_back(Value::bit(static_cast<int>(p % 2)));
   }
-  std::vector<FaultCurvePoint> curve;
-  curve.reserve(params.t + 1);
-  for (std::uint32_t f = 0; f <= params.t; ++f) {
-    const faults::FaultSpec spec = options.fault_axis->with_count(f);
-    const Adversary adversary =
-        faults::compile_adversary(spec, params, options.fault_seed);
-    const RunResult res = backend.run(params, protocol, proposals, adversary);
-    FaultCurvePoint point;
-    point.f = f;
-    point.messages = res.messages_sent_by_correct;
-    if (bounds) {
-      point.static_bound_f = statics::budget_at(*bounds, params, f).messages;
-    }
-    point.agree = res.unanimous_correct_decision().has_value();
-    curve.push_back(point);
+  const Adversary adversary = faults::compile_adversary(
+      options.fault_axis->with_count(f), params, options.fault_seed);
+  RunOptions run_options;
+  run_options.max_rounds = options.attack.max_rounds;
+  run_options.record_trace = false;
+  const RunResult res = backend.run(params, entry.make(params), proposals,
+                                    adversary, run_options);
+  FaultCurvePoint point;
+  point.f = f;
+  point.messages = res.messages_sent_by_correct;
+  if (bounds) {
+    point.static_bound_f = statics::budget_at(*bounds, params, f).messages;
   }
-  return curve;
+  point.agree = res.unanimous_correct_decision().has_value();
+  return point;
 }
 
-/// Evaluates one grid point. A pure function of (entry, params, options):
-/// this is what makes the parallel fan-out trivially deterministic.
-SweepRow sweep_point(const SweepEntry& entry, const SystemParams& params,
-                     const SweepOptions& options) {
-  ProtocolFactory protocol = entry.make(params);
-  AttackReport report = attack_weak_consensus(params, protocol, options.attack);
+/// The sweep's unit of scheduled work: the head of grid point `point`, or
+/// the curve run of that point at fault count `f`.
+struct Piece {
+  static constexpr std::uint32_t kHead = UINT32_MAX;
+  std::size_t point{0};
+  std::uint32_t f{kHead};
+};
+
+/// A grid point while its pieces run. The head writes only `row`, the curve
+/// piece at f only `curve[f]`; `pending` (guarded by the sweep's row mutex)
+/// counts the pieces not yet finished.
+struct PointSlot {
   SweepRow row;
-  row.protocol_name = entry.protocol_name;
-  row.params = params;
-  row.violation = report.violation_found;
-  row.max_messages = report.max_message_complexity;
-  row.bound = report.bound;
-  std::optional<statics::StaticBounds> bounds;
-  if (const statics::CommSpec* spec =
-          protocols::find_comm_spec(entry.protocol_name)) {
-    bounds = statics::analyze(*spec);
-    row.static_bound = statics::budget_at(*bounds, params).messages;
-  }
-  row.critical_round = report.critical_round;
-  if (report.certificate) {
-    row.violation_kind = to_string(report.certificate->kind);
-    row.certificate_verified =
-        verify_certificate(*report.certificate, protocol).ok;
-    row.certificate = encode_certificate(*report.certificate);
-  }
-  if (options.fault_axis) {
-    row.fault_curve = chart_fault_curve(protocol, params, bounds, options);
-  }
-  return row;
-}
+  std::vector<FaultCurvePoint> curve;
+  std::size_t pending{0};
+};
 
 void json_escape(std::ostream& os, const std::string& s) {
   for (char c : s) {
@@ -132,38 +142,59 @@ SweepResult run_attack_sweep(const std::vector<SweepEntry>& entries,
   const std::size_t points = entries.size() * grid.size();
   result.points = points;
   const auto start = std::chrono::steady_clock::now();
-  if (options.jobs == 1) {
-    // Serial reference path: the parallel path must match it bit-for-bit.
-    if (options.keep_rows) result.rows.reserve(points);
-    std::size_t index = 0;
-    for (const SweepEntry& entry : entries) {
-      for (const SystemParams& params : grid) {
-        SweepRow row = sweep_point(entry, params, options);
-        result.streamed_consistent =
-            result.streamed_consistent && row_consistent(row);
-        if (options.on_row) options.on_row(index, row);
-        if (options.keep_rows) result.rows.push_back(std::move(row));
-        ++index;
-      }
+  // A CommSpec's bounds depend on the protocol alone: analyze once per entry.
+  std::vector<std::optional<statics::StaticBounds>> bounds(entries.size());
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    if (const statics::CommSpec* spec =
+            protocols::find_comm_spec(entries[e].protocol_name)) {
+      bounds[e] = statics::analyze(*spec);
     }
+  }
+  // The piece list, point-major: the head of point i, then its curve pieces
+  // in f order, then point i + 1. Run in list order, this is the serial
+  // reference order; the pool runs the same list.
+  std::vector<PointSlot> slots(points);
+  std::vector<Piece> pieces;
+  for (std::size_t point = 0; point < points; ++point) {
+    const std::uint32_t curve_points =
+        options.fault_axis ? grid[point % grid.size()].t + 1 : 0;
+    slots[point].curve.resize(curve_points);
+    slots[point].pending = 1 + std::size_t{curve_points};
+    pieces.push_back({point, Piece::kHead});
+    for (std::uint32_t f = 0; f < curve_points; ++f) {
+      pieces.push_back({point, f});
+    }
+  }
+  if (options.keep_rows) result.rows.resize(points);
+  // Serializes the countdown, on_row and the consistency fold; the pieces
+  // themselves run unlocked.
+  std::mutex row_mu;
+  const auto run_piece = [&](const Piece& piece) {
+    const std::size_t e = piece.point / grid.size();
+    const SystemParams& params = grid[piece.point % grid.size()];
+    PointSlot& slot = slots[piece.point];
+    if (piece.f == Piece::kHead) {
+      slot.row = sweep_head(entries[e], params, bounds[e], options);
+    } else {
+      slot.curve[piece.f] =
+          chart_fault_point(entries[e], params, piece.f, bounds[e], options);
+    }
+    const std::lock_guard<std::mutex> lock(row_mu);
+    if (--slot.pending != 0) return;
+    SweepRow row = std::move(slot.row);
+    row.fault_curve = std::move(slot.curve);
+    result.streamed_consistent =
+        result.streamed_consistent && row_consistent(row);
+    if (options.on_row) options.on_row(piece.point, row);
+    if (options.keep_rows) result.rows[piece.point] = std::move(row);
+  };
+  if (options.jobs == 1) {
+    for (const Piece& piece : pieces) run_piece(piece);
     result.jobs_used = 1;
   } else {
     parallel::ExperimentPool pool(options.jobs);
-    // Serializes on_row and the consistency fold; sweep_point itself runs
-    // unlocked on the workers.
-    std::mutex row_mu;
-    if (options.keep_rows) result.rows.resize(points);
-    for (std::size_t index = 0; index < points; ++index) {
-      pool.submit([&, index] {
-        const SweepEntry& entry = entries[index / grid.size()];
-        const SystemParams& params = grid[index % grid.size()];
-        SweepRow row = sweep_point(entry, params, options);
-        const std::lock_guard<std::mutex> lock(row_mu);
-        result.streamed_consistent =
-            result.streamed_consistent && row_consistent(row);
-        if (options.on_row) options.on_row(index, row);
-        if (options.keep_rows) result.rows[index] = std::move(row);
-      });
+    for (const Piece& piece : pieces) {
+      pool.submit([&run_piece, piece] { run_piece(piece); });
     }
     pool.collect();
     result.jobs_used = pool.jobs();

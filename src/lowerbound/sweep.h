@@ -5,10 +5,16 @@
 // the machinery behind `examples/paper_report` and reusable by downstream
 // evaluation scripts.
 //
-// Grid points are independent, so the sweep fans them across the
-// deterministic experiment pool (parallel/experiment_pool.h) when
-// SweepOptions::jobs != 1. The contract — asserted by
-// tests/parallel/sweep_determinism_test.cpp — is that the produced rows,
+// The unit of scheduled work is a piece, not a grid point. Each point is a
+// head piece (the attack, the static bound, the certificate verdict) plus,
+// with a fault axis, one curve piece per f in 0..t (a single engine run).
+// The pieces form one point-major list: the head of point i, its curve
+// pieces in f order, then point i + 1. jobs == 1 runs that list in order;
+// otherwise the same list goes to the deterministic experiment pool
+// (parallel/experiment_pool.h). Each piece writes only its own slot, and a
+// point's row is assembled when its last piece finishes. The contract —
+// asserted by tests/parallel/sweep_determinism_test.cpp and
+// tests/lowerbound/fault_axis_test.cpp — is that the produced rows,
 // including the encoded violation certificates, are bit-identical to the
 // serial path for every worker count.
 
@@ -30,7 +36,9 @@ struct SweepEntry {
   std::string protocol_name;
   /// Builds the protocol for a given system size (may capture shared state
   /// such as an Authenticator per n). Must be pure: the sweep calls it once
-  /// per grid point, possibly concurrently from pool workers.
+  /// per piece — the head and every curve piece of a grid point — possibly
+  /// concurrently from pool workers. If it throws, the sweep rethrows the
+  /// error of the first failing piece in list order, at every worker count.
   std::function<ProtocolFactory(const SystemParams&)> make;
 };
 
@@ -86,26 +94,28 @@ struct SweepOptions {
   /// workers and the bit-identical parallel-vs-serial guarantee holds for
   /// sim-backed sweeps too.
   AttackOptions attack;
-  /// Worker threads to fan grid points across: 1 (default) runs the serial
-  /// reference path in the calling thread; 0 means hardware concurrency.
+  /// Worker threads to fan the pieces across: 1 (default) runs the piece
+  /// list in order in the calling thread; 0 means hardware concurrency.
   unsigned jobs{1};
-  /// Streaming hook: called once per grid point with (index, row) the
-  /// moment the point completes. Calls are serialized (never concurrent)
-  /// but arrive in completion order when jobs != 1 — pair with
+  /// Streaming hook: called once per grid point with (index, row) when the
+  /// point's last piece completes, on the thread that ran that piece; the
+  /// row already holds the whole fault curve. Calls are serialized (never
+  /// concurrent) but arrive in completion order when jobs != 1 — pair with
   /// service::OrderedNdjsonWriter to emit index-ordered output. The index
   /// is entry-major (index = entry_i * |grid| + grid_i), identical to the
   /// rows vector's order.
   std::function<void(std::size_t, const SweepRow&)> on_row;
   /// Keep rows in SweepResult::rows (default). Off streams large grids
-  /// through on_row with O(1) row memory; theorem2_consistent() still works
-  /// (consistency is folded per row as the sweep runs).
+  /// through on_row, dropping each row right after its on_row call;
+  /// theorem2_consistent() still works (consistency is folded per row as
+  /// the sweep runs).
   bool keep_rows{true};
   /// Fault-axis template: when set, every grid point additionally charts a
   /// message-vs-fault curve — the template instantiated at count f for each
   /// f in 0..t, compiled to an adversary (faults/compile.h) and run once on
-  /// the sweep's backend with alternating-bit proposals. The kind must be
-  /// sweepable (faults::kind_sweepable); the template's own count is
-  /// ignored.
+  /// the sweep's backend with alternating-bit proposals, under
+  /// attack.max_rounds and without a trace. The kind must be sweepable
+  /// (faults::kind_sweepable); the template's own count is ignored.
   std::optional<faults::FaultSpec> fault_axis;
   /// Seed for randomized fault-axis plans (e.g. crash round derivation).
   std::uint64_t fault_seed{1};

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,18 +69,74 @@ TEST(FaultAxis, HoldsOnTheSimBackendToo) {
 }
 
 TEST(FaultAxis, CurveIsDeterministicAcrossWorkerCounts) {
-  const std::vector<SystemParams> grid = {{12, 11}};
-  SweepOptions serial = axis_options("isolate");
-  SweepOptions pooled = axis_options("isolate");
-  pooled.jobs = 2;
-  const SweepResult a =
-      run_attack_sweep(standard_sweep_entries(), grid, serial);
-  const SweepResult b =
-      run_attack_sweep(standard_sweep_entries(), grid, pooled);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (std::size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(encode_sweep_row_ndjson(a.rows[i]),
-              encode_sweep_row_ndjson(b.rows[i]));
+  // The curve runs are scheduled as pieces of their own, so a point's row is
+  // assembled from several workers: it must still match the serial row.
+  const std::vector<SystemParams> grid = {{12, 11}, {16, 15}};
+  for (const char* backend : {"lockstep", "sim:sync,1"}) {
+    SweepOptions options = axis_options("isolate");
+    options.attack.backend = engine::make_backend(backend);
+    const SweepResult serial =
+        run_attack_sweep(standard_sweep_entries(), grid, options);
+    ASSERT_EQ(serial.rows.size(), 8u) << backend;
+    for (const unsigned jobs : {2u, 8u}) {
+      options.jobs = jobs;
+      const SweepResult pooled =
+          run_attack_sweep(standard_sweep_entries(), grid, options);
+      ASSERT_EQ(pooled.rows.size(), serial.rows.size()) << backend;
+      for (std::size_t i = 0; i < serial.rows.size(); ++i) {
+        EXPECT_EQ(encode_sweep_row_ndjson(pooled.rows[i]),
+                  encode_sweep_row_ndjson(serial.rows[i]))
+            << backend << " jobs=" << jobs << " row=" << i;
+        EXPECT_EQ(pooled.rows[i], serial.rows[i])
+            << backend << " jobs=" << jobs << " row=" << i;
+      }
+    }
+  }
+}
+
+/// Sends nothing and decides 0 once round `decide_round` is delivered: a
+/// protocol whose runs need more rounds than RunOptions' default cap.
+class LateDecider final : public Process {
+ public:
+  explicit LateDecider(Round decide_round) : decide_round_(decide_round) {}
+  Outbox outbox_for_round(Round) override { return {}; }
+  void deliver(Round r, const Inbox&) override {
+    if (r >= decide_round_) decision_ = Value::bit(0);
+  }
+  [[nodiscard]] std::optional<Value> decision() const override {
+    return decision_;
+  }
+
+ private:
+  Round decide_round_;
+  std::optional<Value> decision_;
+};
+
+TEST(FaultAxis, CurveRunsUnderTheAttackRoundCap) {
+  // Deciding at round 1200 is past RunOptions' 1000-round default but
+  // within AttackOptions' 4000: the curve must use the attack's cap.
+  const std::vector<SweepEntry> entries = {
+      {"late-decider", [](const SystemParams&) -> ProtocolFactory {
+         return [](const ProcessContext&) {
+           return std::make_unique<LateDecider>(1200);
+         };
+       }}};
+  const std::vector<SystemParams> grid = {{5, 2}};
+  SweepOptions options = axis_options("crash");
+  ASSERT_GT(options.attack.max_rounds, 1200u);
+  const SweepResult uncapped = run_attack_sweep(entries, grid, options);
+  ASSERT_EQ(uncapped.rows.size(), 1u);
+  ASSERT_EQ(uncapped.rows[0].fault_curve.size(), 3u);
+  for (const FaultCurvePoint& point : uncapped.rows[0].fault_curve) {
+    EXPECT_TRUE(point.agree) << "f=" << point.f;
+  }
+
+  options.attack.max_rounds = 100;
+  const SweepResult capped = run_attack_sweep(entries, grid, options);
+  ASSERT_EQ(capped.rows.size(), 1u);
+  ASSERT_EQ(capped.rows[0].fault_curve.size(), 3u);
+  for (const FaultCurvePoint& point : capped.rows[0].fault_curve) {
+    EXPECT_FALSE(point.agree) << "f=" << point.f;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,81 @@ TEST(SweepStreaming, DroppedRowsKeepTheVerdictAndCount) {
   EXPECT_EQ(dropped.points, kept.points);
   EXPECT_EQ(dropped.theorem2_consistent(), kept.theorem2_consistent());
   EXPECT_TRUE(dropped.theorem2_consistent());
+}
+
+SweepOptions crash_axis(unsigned jobs) {
+  SweepOptions options;
+  options.jobs = jobs;
+  options.fault_axis = faults::FaultSpec{};
+  options.fault_axis->kind = *faults::find_fault_kind("crash");
+  return options;
+}
+
+TEST(SweepStreaming, FaultAxisRowsStreamOnceAndWhole) {
+  // A point's curve runs are pieces of their own; on_row must still fire
+  // once per point, after the last piece, with the whole curve in the row.
+  const std::vector<SystemParams> grid = {{12, 11}, {16, 15}};
+  std::string serial;
+  for (const unsigned jobs : {1u, 8u}) {
+    std::string out;
+    service::OrderedNdjsonWriter writer([&](std::string_view line) {
+      out.append(line);
+      out.push_back('\n');
+    });
+    std::vector<int> calls(standard_sweep_entries().size() * grid.size());
+    SweepOptions options = crash_axis(jobs);
+    options.keep_rows = false;
+    options.on_row = [&](std::size_t index, const SweepRow& row) {
+      ASSERT_LT(index, calls.size());
+      ++calls[index];
+      EXPECT_EQ(row.params, grid[index % grid.size()]);
+      ASSERT_EQ(row.fault_curve.size(), row.params.t + 1u);
+      for (std::uint32_t f = 0; f <= row.params.t; ++f) {
+        EXPECT_EQ(row.fault_curve[f].f, f);
+      }
+      writer.put(index, encode_sweep_row_ndjson(row));
+    };
+    const SweepResult result =
+        run_attack_sweep(standard_sweep_entries(), grid, options);
+    EXPECT_TRUE(result.rows.empty());
+    EXPECT_TRUE(result.theorem2_consistent());
+    EXPECT_TRUE(writer.drained());
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i], 1) << "jobs=" << jobs << " index=" << i;
+    }
+    if (jobs == 1) {
+      serial = out;
+    } else {
+      EXPECT_EQ(out, serial) << "jobs=" << jobs;
+    }
+  }
+  ASSERT_FALSE(serial.empty());
+}
+
+TEST(SweepStreaming, FailingPointThrowsTheSameErrorAtEveryWidth) {
+  // make throws at two grid points; whichever fails first on the clock, the
+  // sweep reports the lower point, exactly as the serial path does.
+  std::vector<SweepEntry> entries = standard_sweep_entries();
+  SweepEntry& last = entries.back();
+  last.make = [make = last.make](const SystemParams& params) {
+    if (params.n != 12) {
+      throw std::runtime_error("make failed at n=" + std::to_string(params.n));
+    }
+    return make(params);
+  };
+  const std::vector<SystemParams> grid = {{12, 11}, {16, 15}, {20, 19}};
+  for (const unsigned jobs : {1u, 8u}) {
+    try {
+      (void)run_attack_sweep(entries, grid, crash_axis(jobs));
+      ADD_FAILURE() << "expected std::runtime_error at jobs=" << jobs;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "make failed at n=16") << "jobs=" << jobs;
+    }
+  }
+  // A failed sweep leaves nothing behind: the next one runs clean.
+  const std::vector<SystemParams> clean = {{12, 11}};
+  EXPECT_EQ(run_attack_sweep(entries, clean, crash_axis(8)).rows,
+            run_attack_sweep(entries, clean, crash_axis(1)).rows);
 }
 
 TEST(SweepStreaming, EncodedRowsAreSelfDescribing) {
