@@ -2,8 +2,8 @@
 // and messages/sec for Dolev-Strong broadcast over the zero-jitter
 // synchronous model at n in {8, 16, 32}. Complements bench_runtime (the
 // lockstep executor on the same workload): the delta between the two is the
-// cost of the event loop itself — the priority queue, per-message delivery
-// events, and per-link metric updates.
+// cost of the simulator's routing step — per-message latency sampling and
+// fault-plan lookups, and the per-link metric updates.
 //
 // The full run drops BENCH_sim.json next to the binary in the same schema
 // as BENCH_runtime.json; CI's bench-smoke job uploads both artifacts.
@@ -54,7 +54,8 @@ void write_sim_bench_json(std::ostream& os) {
 void SimDolevStrong(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   // The same workload bench_runtime measures on the lockstep executor
-  // (bench_util.h), so the delta between the two benches is the event loop.
+  // (bench_util.h), so the delta between the two benches is the routing
+  // step.
   const Workload w = make_workload("dolev_strong", n);
 
   sim::SimConfig config;

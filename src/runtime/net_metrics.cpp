@@ -24,6 +24,8 @@ std::uint64_t LatencyHistogram::quantile_upper_bound(double p) const {
   for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += buckets[i];
     if (seen > target || seen == count) {
+      // The last bucket is open-ended: its only sound bound is the max.
+      if (i == kBuckets - 1) return max;
       return (std::uint64_t{1} << (i + 1)) - 1;
     }
   }

@@ -35,7 +35,9 @@ struct LatencyHistogram {
 
   void record(std::uint64_t latency);
   /// Upper edge of the first bucket whose cumulative share reaches `p`
-  /// (p in [0, 1]); 0 when empty. A coarse but deterministic quantile.
+  /// (p in [0, 1]); 0 when empty. The last bucket has no upper edge, so a
+  /// quantile that falls in it reports `max`. A coarse but deterministic
+  /// quantile.
   [[nodiscard]] std::uint64_t quantile_upper_bound(double p) const;
 
   friend bool operator==(const LatencyHistogram&,

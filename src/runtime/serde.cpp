@@ -117,6 +117,27 @@ Bytes encode_value(const Value& v) {
   return w.take();
 }
 
+std::size_t encoded_size(const Value& v) {
+  // Mirrors BytesWriter::value: a one-byte kind tag, then the body, with
+  // every length written as a u64.
+  switch (v.kind()) {
+    case Value::Kind::kNull:
+      return 1;
+    case Value::Kind::kBool:
+      return 1 + 1;
+    case Value::Kind::kInt:
+      return 1 + 8;
+    case Value::Kind::kStr:
+      return 1 + 8 + v.as_str().size();
+    case Value::Kind::kVec: {
+      std::size_t size = 1 + 8;
+      for (const Value& e : v.as_vec()) size += encoded_size(e);
+      return size;
+    }
+  }
+  throw SerdeError("bad value kind");
+}
+
 Value decode_value(std::span<const std::uint8_t> data) {
   BytesReader r(data);
   Value v = r.value();

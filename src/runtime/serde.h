@@ -61,6 +61,8 @@ class BytesReader {
 
 /// Canonical byte encoding of a value (round-trips via BytesReader::value).
 Bytes encode_value(const Value& v);
+/// Length of `encode_value(v)`, computed without encoding or allocating.
+std::size_t encoded_size(const Value& v);
 Value decode_value(std::span<const std::uint8_t> data);
 
 }  // namespace ba

@@ -6,17 +6,6 @@
 
 namespace ba {
 
-namespace {
-
-[[maybe_unused]] bool inbox_sorted_by_sender(const Inbox& inbox) {
-  return std::is_sorted(inbox.begin(), inbox.end(),
-                        [](const Message& a, const Message& b) {
-                          return a.sender < b.sender;
-                        });
-}
-
-}  // namespace
-
 void normalize_outbox_into(const Outbox& out, ProcessId self, Round r,
                            std::uint32_t n, std::vector<std::uint8_t>& seen,
                            std::vector<Message>& msgs) {
@@ -49,6 +38,13 @@ void sort_inbox(Inbox& inbox) {
   std::sort(inbox.begin(), inbox.end(), [](const Message& a, const Message& b) {
     return a.sender < b.sender;
   });
+}
+
+bool inbox_sorted_by_sender(const Inbox& inbox) {
+  return std::is_sorted(inbox.begin(), inbox.end(),
+                        [](const Message& a, const Message& b) {
+                          return a.sender < b.sender;
+                        });
 }
 
 void RoundScratch::prepare(const Adversary& adversary, std::uint32_t n,

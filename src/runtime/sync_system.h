@@ -109,12 +109,15 @@ void normalize_outbox_into(const Outbox& out, ProcessId self, Round r,
                            std::uint32_t n, std::vector<std::uint8_t>& seen,
                            std::vector<Message>& msgs);
 
-/// Sorts an inbox by sender (the canonical delivery order). The lockstep
-/// executor's routing produces sorted inboxes by construction (and only
-/// asserts); this is for callers that assemble inboxes in arbitrary order —
-/// `replay_process`, the execution calculus, and the simulator's
-/// jitter-dependent arrival path.
+/// Sorts an inbox by sender (the canonical delivery order). The executors'
+/// routing (lockstep and simulator) produces sorted inboxes by construction
+/// and only asserts `inbox_sorted_by_sender`; this is for callers that
+/// assemble inboxes in arbitrary order — `replay_process` and the execution
+/// calculus.
 void sort_inbox(Inbox& inbox);
+
+/// True iff `inbox` is in canonical delivery order (ascending sender).
+bool inbox_sorted_by_sender(const Inbox& inbox);
 
 /// Per-run scratch space for the executor's round loop: outbox/inbox
 /// buffers, trace-event staging, the dedup bitmap for

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
-#include <queue>
+#include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -11,41 +12,36 @@
 namespace ba::sim {
 namespace {
 
-// Phase breaks ties at equal logical times: all deliveries due at a round
-// boundary land before the round ends, and the next round starts last.
-enum : std::uint8_t { kPhaseDeliver = 0, kPhaseRoundEnd = 1, kPhaseRoundStart = 2 };
-
-struct Event {
-  SimTime time{0};
-  std::uint8_t phase{kPhaseDeliver};
-  std::uint64_t seq{0};
-  Round round{kNoRound};  // control events
-  Message msg;            // kPhaseDeliver
-  SimTime latency{0};     // kPhaseDeliver: for the histogram
+// One delivery as the receiver's network sees it, for the reorder metric.
+struct Arrival {
+  SimTime latency{0};
+  ProcessId sender{kNoProcess};
 };
 
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    return std::tie(a.time, a.phase, a.seq) > std::tie(b.time, b.phase, b.seq);
+// Deliveries that arrive out of canonical order at one receiver in one
+// round. A message lands at round_start + latency, and equal latencies land
+// in routing order, which is ascending sender; so arrival order is
+// (latency, sender), and every step down in sender along it is one
+// reordered delivery. `arrivals` comes in routing order.
+std::uint64_t count_reordered(std::vector<Arrival>& arrivals) {
+  const auto by_latency = [](const Arrival& a, const Arrival& b) {
+    return a.latency < b.latency;
+  };
+  // Latencies that never decrease along routing order leave arrival order
+  // equal to it: nothing is reordered.
+  if (std::is_sorted(arrivals.begin(), arrivals.end(), by_latency)) return 0;
+  // Senders are distinct within a (receiver, round), so sorting on the
+  // pair is the stable sort by latency, without its scratch buffer.
+  std::sort(arrivals.begin(), arrivals.end(),
+            [](const Arrival& a, const Arrival& b) {
+              return std::tie(a.latency, a.sender) <
+                     std::tie(b.latency, b.sender);
+            });
+  std::uint64_t descents = 0;
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    if (arrivals[i].sender < arrivals[i - 1].sender) ++descents;
   }
-};
-
-Event control_event(SimTime time, std::uint8_t phase, Round round) {
-  Event ev;
-  ev.time = time;
-  ev.phase = phase;
-  ev.round = round;
-  return ev;
-}
-
-Event deliver_event(SimTime time, Round round, Message msg, SimTime latency) {
-  Event ev;
-  ev.time = time;
-  ev.phase = kPhaseDeliver;
-  ev.round = round;
-  ev.msg = std::move(msg);
-  ev.latency = latency;
-  return ev;
+  return descents;
 }
 
 }  // namespace
@@ -112,166 +108,132 @@ SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
   RoundScratch scratch;
   scratch.prepare(adv, n, tracing);
 
-  std::priority_queue<Event, std::vector<Event>, EventAfter> queue;
-  std::uint64_t seq = 0;
-  const auto push = [&queue, &seq](Event ev) {
-    ev.seq = seq++;
-    queue.push(std::move(ev));
-  };
   const SimTime dt = config.round_ticks;
-  if (config.max_rounds >= 1) {
-    push(control_event(0, kPhaseRoundStart, 1));
-  }
+  std::uint64_t delivered = 0;
+  // Per-receiver arrivals of the current round, for the reorder metric.
+  std::vector<std::vector<Arrival>> arrivals(metering ? n : 0);
 
-  std::uint64_t sent_in_round = 0;
-  // Last sender delivered per receiver within the current round, for the
-  // reorder metric (kNoProcess = nothing arrived yet this round).
-  std::vector<ProcessId> last_sender(n, kNoProcess);
-
-  while (!queue.empty()) {
-    Event ev = queue.top();
-    queue.pop();
-    ++out.events_processed;
-    out.end_time = ev.time;
-
-    switch (ev.phase) {
-      case kPhaseRoundStart: {
-        const Round r = ev.round;
-        const SimTime round_start = SimTime{r - 1} * dt;
-        sent_in_round = 0;
-        // Outbox computation mirrors run_execution phase 1 exactly: every
-        // process's round-r sends are a function of its state at the start
-        // of round r, normalized before any routing happens.
-        for (ProcessId p = 0; p < n; ++p) {
-          normalize_outbox_into(replicas[p]->outbox_for_round(r), p, r, n,
-                                scratch.seen, scratch.outs[p]);
-          scratch.inboxes[p].clear();
-          last_sender[p] = kNoProcess;
-          if (tracing) {
-            RoundEvents& re = scratch.events[p];
-            re.sent.clear();
-            re.send_omitted.clear();
-            re.received.clear();
-            re.receive_omitted.clear();
-          }
-        }
-        // Routing: omissions are decided now (predicates over message
-        // identities are time-invariant), in ascending-sender order so the
-        // staged trace events match the lockstep executor's canonical
-        // order; surviving messages become Deliver events at
-        // round_start + latency.
-        for (ProcessId p = 0; p < n; ++p) {
-          const bool correct_sender = scratch.faulty[p] == 0;
-          const bool check_send = scratch.may_drop_send[p] != 0;
-          for (Message& m : scratch.outs[p]) {
-            if (check_send && adv.send_omit(m.key())) {
-              if (tracing) scratch.events[p].send_omitted.push_back(m);
-              if (metering) ++out.metrics.link(p, m.receiver).dropped;
-              continue;
-            }
-            ++sent_in_round;
-            ++result.messages_sent_total;
-            if (correct_sender) ++result.messages_sent_by_correct;
-            if (tracing) scratch.events[p].sent.push_back(m);
-            if (metering) ++out.metrics.sent_by[p];
-            if (scratch.may_drop_receive[m.receiver] != 0 &&
-                adv.receive_omit(m.key())) {
-              if (tracing) {
-                scratch.events[m.receiver].receive_omitted.push_back(m);
-              }
-              if (metering) ++out.metrics.link(p, m.receiver).dropped;
-              continue;
-            }
-            SimTime lat = config.link.latency(m.key(), dt);
-            if (lat <= dt) {
-              // Fault-plan delay stays within model bounds: it can push a
-              // delivery to the round boundary but never past it.
-              lat = std::min(lat + plan.extra_delay(m.key()), dt);
-              push(deliver_event(round_start + lat, r, m, lat));
-            } else {
-              // Late: the round-based state machine can never see this
-              // message — it is an omission pinned on the (declared
-              // faulty) lagging receiver.
-              if (tracing) {
-                scratch.events[m.receiver].receive_omitted.push_back(m);
-              }
-              if (metering) ++out.metrics.link(p, m.receiver).late;
-            }
-          }
-        }
-        push(control_event(SimTime{r} * dt, kPhaseRoundEnd, r));
-        break;
+  for (Round r = 1; r <= config.max_rounds; ++r) {
+    // Phase 1 mirrors run_execution exactly: every process's round-r sends
+    // are a function of its state at the start of round r, normalized
+    // before any routing happens.
+    std::uint64_t sent_in_round = 0;
+    for (ProcessId p = 0; p < n; ++p) {
+      normalize_outbox_into(replicas[p]->outbox_for_round(r), p, r, n,
+                            scratch.seen, scratch.outs[p]);
+      scratch.inboxes[p].clear();
+      if (metering) arrivals[p].clear();
+      if (tracing) {
+        RoundEvents& re = scratch.events[p];
+        re.sent.clear();
+        re.send_omitted.clear();
+        re.received.clear();
+        re.receive_omitted.clear();
       }
+    }
 
-      case kPhaseDeliver: {
-        Message& m = ev.msg;
+    // Phase 2: route through the link model. Omissions are decided at send
+    // time (the predicates are time-invariant over message identities).
+    // Every surviving message takes its latency: within the round it is
+    // delivered, past the round boundary it is late. Routing visits senders
+    // in ascending order, so trace events are staged in the lockstep
+    // executor's canonical order and every inbox is sender-sorted.
+    for (ProcessId p = 0; p < n; ++p) {
+      const bool correct_sender = scratch.faulty[p] == 0;
+      const bool check_send = scratch.may_drop_send[p] != 0;
+      for (Message& m : scratch.outs[p]) {
+        if (check_send && adv.send_omit(m.key())) {
+          if (tracing) scratch.events[p].send_omitted.push_back(m);
+          if (metering) ++out.metrics.link(p, m.receiver).dropped;
+          continue;
+        }
+        ++sent_in_round;
+        ++result.messages_sent_total;
+        if (correct_sender) ++result.messages_sent_by_correct;
+        if (tracing) scratch.events[p].sent.push_back(m);
+        if (metering) ++out.metrics.sent_by[p];
+        if (scratch.may_drop_receive[m.receiver] != 0 &&
+            adv.receive_omit(m.key())) {
+          if (tracing) {
+            scratch.events[m.receiver].receive_omitted.push_back(m);
+          }
+          if (metering) ++out.metrics.link(p, m.receiver).dropped;
+          continue;
+        }
+        SimTime lat = config.link.latency(m.key(), dt);
+        if (lat > dt) {
+          // Late: the round-based state machine can never see this
+          // message — it is an omission pinned on the (declared faulty)
+          // lagging receiver.
+          if (tracing) {
+            scratch.events[m.receiver].receive_omitted.push_back(m);
+          }
+          if (metering) ++out.metrics.link(p, m.receiver).late;
+          continue;
+        }
+        // Fault-plan delay stays within model bounds: it can push a
+        // delivery to the round boundary but never past it.
+        lat = std::min(lat + plan.extra_delay(m.key()), dt);
+        ++delivered;
         if (metering) {
-          LinkStats& l = out.metrics.link(m.sender, m.receiver);
+          LinkStats& l = out.metrics.link(p, m.receiver);
           ++l.delivered;
-          l.payload_bytes += encode_value(m.payload).size();
+          l.payload_bytes += encoded_size(m.payload);
           ++out.metrics.delivered_to[m.receiver];
           ++out.metrics.deliveries;
-          out.metrics.latency.record(ev.latency);
-          if (last_sender[m.receiver] != kNoProcess &&
-              m.sender < last_sender[m.receiver]) {
-            ++out.metrics.reordered;
-          }
-          last_sender[m.receiver] = m.sender;
+          out.metrics.latency.record(lat);
+          arrivals[m.receiver].push_back(Arrival{lat, p});
         }
         scratch.inboxes[m.receiver].push_back(std::move(m));
+      }
+    }
+    if (metering) {
+      for (ProcessId p = 0; p < n; ++p) {
+        out.metrics.reordered += count_reordered(arrivals[p]);
+      }
+    }
+
+    // Phase 3: deliver the canonical inboxes at the round boundary.
+    for (ProcessId p = 0; p < n; ++p) {
+      Inbox& inbox = scratch.inboxes[p];
+      assert(inbox_sorted_by_sender(inbox));
+      if (tracing) scratch.events[p].received = inbox;
+      replicas[p]->deliver(r, inbox);
+      if (!result.decisions[p].has_value()) {
+        if (auto d = replicas[p]->decision()) {
+          result.decisions[p] = d;
+          result.trace.procs[p].decision = d;
+          result.trace.procs[p].decision_round = r;
+        }
+      }
+    }
+    if (tracing) {
+      for (ProcessId p = 0; p < n; ++p) {
+        result.trace.procs[p].rounds.push_back(std::move(scratch.events[p]));
+      }
+    }
+    result.rounds_executed = r;
+    result.trace.rounds = r;
+
+    if (config.stop_on_quiescence && sent_in_round == 0) {
+      bool all_quiescent = true;
+      for (ProcessId p = 0; p < n; ++p) {
+        if (!replicas[p]->quiescent()) {
+          all_quiescent = false;
+          break;
+        }
+      }
+      if (all_quiescent) {
+        result.quiesced = true;
+        result.trace.quiesced = true;
         break;
       }
-
-      case kPhaseRoundEnd: {
-        const Round r = ev.round;
-        for (ProcessId p = 0; p < n; ++p) {
-          Inbox& inbox = scratch.inboxes[p];
-          // Arrival order is jitter-dependent; delivery order is canonical.
-          sort_inbox(inbox);
-          if (tracing) scratch.events[p].received = inbox;
-          replicas[p]->deliver(r, inbox);
-          if (!result.decisions[p].has_value()) {
-            if (auto d = replicas[p]->decision()) {
-              result.decisions[p] = d;
-              result.trace.procs[p].decision = d;
-              result.trace.procs[p].decision_round = r;
-            }
-          }
-        }
-        if (tracing) {
-          for (ProcessId p = 0; p < n; ++p) {
-            result.trace.procs[p].rounds.push_back(
-                std::move(scratch.events[p]));
-          }
-        }
-        result.rounds_executed = r;
-        result.trace.rounds = r;
-
-        bool stop = false;
-        if (config.stop_on_quiescence && sent_in_round == 0) {
-          bool all_quiescent = true;
-          for (ProcessId p = 0; p < n; ++p) {
-            if (!replicas[p]->quiescent()) {
-              all_quiescent = false;
-              break;
-            }
-          }
-          if (all_quiescent) {
-            result.quiesced = true;
-            result.trace.quiesced = true;
-            stop = true;
-          }
-        }
-        if (!stop && r < config.max_rounds) {
-          push(control_event(SimTime{r} * dt, kPhaseRoundStart, r + 1));
-        }
-        break;
-      }
-
-      default:
-        throw std::logic_error("unknown event phase");
     }
   }
+  // The event-level view of the loop: each round starts, delivers its
+  // messages one by one and ends at its boundary.
+  out.events_processed = 2 * std::uint64_t{result.rounds_executed} + delivered;
+  out.end_time = SimTime{result.rounds_executed} * dt;
 
   if (config.lint_trace) {
     analysis::LintOptions lint_options;

@@ -2,28 +2,35 @@
 
 // The deterministic discrete-event network simulator.
 //
-// Where runtime/sync_system.cpp advances the whole system in lockstep
-// rounds, the simulator runs the *network* as a seeded priority-queue event
-// loop over logical time: every message is an individually scheduled
-// delivery event whose latency comes from a link model (sim/link.h) plus
-// fault-plan delay (sim/fault.h). The round abstraction the paper's state
-// machines need (A.1.3) is preserved by two control events per round:
+// Where runtime/sync_system.cpp delivers every message at its round
+// boundary, the simulator gives every message its own latency in logical
+// time: a link model (sim/link.h) samples it and a fault plan (sim/fault.h)
+// may add delay. It runs as a round loop with the same three phases as
+// `run_execution`, because a message that is delivered at all lands inside
+// the round it was sent in:
 //
-//   RoundStart(r) at (r-1)*Δ   every process computes its round-r outbox;
-//                              each message gets a sampled latency and is
-//                              scheduled as a Deliver event (or recorded as
-//                              an omission — adversary drop or model-late);
-//   Deliver(m)    at send+lat  m lands in its receiver's pending inbox;
-//                              per-link counters and the latency histogram
-//                              advance here;
-//   RoundEnd(r)   at r*Δ       pending inboxes are sorted into canonical
-//                              (ascending-sender) order and delivered.
+//   outboxes   every process computes its round-r outbox from its state at
+//              the start of round r, (r-1)*Δ;
+//   routing    senders in ascending order: omissions are applied, then each
+//              surviving message takes its latency. A latency past Δ makes
+//              it late (recorded as an omission); otherwise fault-plan delay
+//              is added, clamped to Δ, and the message goes to its
+//              receiver's inbox. Per-link counters and the latency
+//              histogram advance here;
+//   delivery   at r*Δ every inbox, already in canonical (ascending-sender)
+//              order, is delivered.
 //
-// Determinism contract: events are totally ordered by (time, phase, seq) —
-// Deliver < RoundEnd < RoundStart at equal times, seq a monotone insertion
-// counter — and every latency is a pure SipHash function of the message
-// identity, so a simulation is a deterministic function of its arguments.
-// No wall clock, no global RNG, no iteration over unordered containers.
+// Arrival order: within a round, a receiver's messages arrive in order of
+// (latency, sender) — by latency, and at equal latency in routing order.
+// Only the `reordered` metric observes it; the state machines see the
+// canonical order. `events_processed` and `end_time` report the run as the
+// event sequence it describes: per round one start, one arrival per
+// delivered message and one end, the last end at rounds*Δ.
+//
+// Determinism contract: every latency is a pure SipHash function of the
+// message identity, so a simulation is a deterministic function of its
+// arguments. No wall clock, no global RNG, no iteration over unordered
+// containers.
 //
 // Faults flow through the static-adversary machinery (runtime/fault.h,
 // src/adversary/): the FaultPlan compiles to omission predicates, and
@@ -74,7 +81,8 @@ struct SimResult {
   /// counts, rounds, quiescence, optional lint report.
   RunResult run;
   NetMetrics metrics;
-  /// Events popped from the queue (RoundStart + Deliver + RoundEnd).
+  /// Events in the run's event view: one start and one end per executed
+  /// round plus one arrival per delivered message.
   std::uint64_t events_processed{0};
   /// Logical time at which the simulation stopped.
   SimTime end_time{0};

@@ -9,7 +9,7 @@
 // asserted protocol-by-protocol in tests/sim/sim_parity_test.cpp — is
 // bit-identical output: same decisions, same message counts, same full
 // event trace, same quiescence verdict. This is the executable proof that
-// the event-loop substrate implements the paper's synchronous model (§2),
+// the simulator implements the paper's synchronous model (§2),
 // not an approximation of it, and it makes the simulator a drop-in
 // executor for every experiment in the repo.
 

@@ -39,6 +39,26 @@ TEST(Serde, ValueRoundTrip) {
   }
 }
 
+TEST(Serde, EncodedSizeIsTheEncodingLength) {
+  const std::vector<Value> cases{
+      Value::null(),
+      Value{true},
+      Value{false},
+      Value{0},
+      Value{std::int64_t{-1234567890123}},
+      Value{""},
+      Value{"payload"},
+      Value{ValueVec{}},
+      Value::vec({Value{ValueVec{}}}),
+      Value::vec({Value{"chain"}, Value{1}, Value::vec({0, 1})}),
+      Value::vec({Value::vec({Value::vec({Value::null(), Value{""}})}),
+                  Value{true}}),
+  };
+  for (const Value& v : cases) {
+    EXPECT_EQ(encoded_size(v), encode_value(v).size()) << v;
+  }
+}
+
 TEST(Serde, DistinctValuesDistinctEncodings) {
   EXPECT_NE(encode_value(Value{0}), encode_value(Value{false}));
   EXPECT_NE(encode_value(Value{"1"}), encode_value(Value{1}));

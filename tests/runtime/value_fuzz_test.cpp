@@ -86,6 +86,14 @@ TEST_P(ValueFuzz, SerdeRoundTrip) {
   }
 }
 
+TEST_P(ValueFuzz, EncodedSizeMatchesEncoding) {
+  ValueGen gen(GetParam() * 31 + 5);
+  for (int i = 0; i < 50; ++i) {
+    const Value v = gen.next(5);
+    EXPECT_EQ(encoded_size(v), encode_value(v).size()) << v;
+  }
+}
+
 TEST_P(ValueFuzz, EqualityConsistentWithEncodingAndHash) {
   ValueGen g1(GetParam());
   ValueGen g2(GetParam());

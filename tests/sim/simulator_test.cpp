@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/ba.h"
@@ -287,6 +289,144 @@ TEST(Simulator, EventCountMatchesTheLoopStructure) {
             2u * res.run.rounds_executed + res.metrics.deliveries);
   EXPECT_EQ(res.end_time,
             SimTime{res.run.rounds_executed} * config.round_ticks);
+}
+
+// Every field of NetMetrics plus the event-level counters, one line per
+// group and one `delivered/payload_bytes/dropped/late` cell per link.
+std::string pin_metrics(const SimResult& res) {
+  const NetMetrics& m = res.metrics;
+  std::ostringstream os;
+  os << "events " << res.events_processed << " end " << res.end_time
+     << " deliveries " << m.deliveries << " reordered " << m.reordered
+     << "\n";
+  os << "latency count " << m.latency.count << " min " << m.latency.min
+     << " max " << m.latency.max << " sum " << m.latency.sum << " buckets";
+  for (std::uint64_t b : m.latency.buckets) os << ' ' << b;
+  os << "\nsent_by";
+  for (std::uint64_t s : m.sent_by) os << ' ' << s;
+  os << "\ndelivered_to";
+  for (std::uint64_t d : m.delivered_to) os << ' ' << d;
+  os << "\n";
+  for (ProcessId s = 0; s < m.n; ++s) {
+    os << "link " << s << ':';
+    for (ProcessId r = 0; r < m.n; ++r) {
+      const LinkStats& l = m.link(s, r);
+      os << ' ' << l.delivered << '/' << l.payload_bytes << '/' << l.dropped
+         << '/' << l.late;
+    }
+    os << "\n";
+  }
+  return os.str();
+}
+
+// Golden NetMetrics for three network settings. The expected values were
+// produced by the priority-queue event loop that preceded the round loop,
+// and pin the round loop to it: arrival order (the reorder count), the
+// per-link byte, drop and late counters, and the latency histogram.
+TEST(Simulator, MetricsMatchTheEventLoopGoldens) {
+  Fixture fx;
+  SimConfig jitter;
+  jitter.round_ticks = 256;
+  jitter.link = LinkModel::jitter(1, 256, /*seed=*/7);
+  EXPECT_EQ(pin_metrics(simulate(fx.params, fx.factory, fx.proposals,
+                                 Adversary::none(), jitter)),
+            "events 248 end 2560 deliveries 228 reordered 81\n"
+            "latency count 228 min 1 max 256 sum 29573 buckets "
+            "2 0 2 11 15 25 54 118 1 0 0 0 0 0 0 0 0 0 0 0\n"
+            "sent_by 36 36 36 30 30 30 30\n"
+            "delivered_to 32 32 32 33 33 33 33\n"
+            "link 0: 0/0/0/0 6/159/0/0 6/159/0/0 6/159/0/0 "
+            "6/159/0/0 6/159/0/0 6/159/0/0\n"
+            "link 1: 6/159/0/0 0/0/0/0 6/159/0/0 6/159/0/0 "
+            "6/159/0/0 6/159/0/0 6/159/0/0\n"
+            "link 2: 6/159/0/0 6/159/0/0 0/0/0/0 6/159/0/0 "
+            "6/159/0/0 6/159/0/0 6/159/0/0\n"
+            "link 3: 5/132/0/0 5/132/0/0 5/132/0/0 0/0/0/0 "
+            "5/132/0/0 5/132/0/0 5/132/0/0\n"
+            "link 4: 5/132/0/0 5/132/0/0 5/132/0/0 5/132/0/0 "
+            "0/0/0/0 5/132/0/0 5/132/0/0\n"
+            "link 5: 5/132/0/0 5/132/0/0 5/132/0/0 5/132/0/0 "
+            "5/132/0/0 0/0/0/0 5/132/0/0\n"
+            "link 6: 5/132/0/0 5/132/0/0 5/132/0/0 5/132/0/0 "
+            "5/132/0/0 5/132/0/0 0/0/0/0\n");
+
+  SimConfig gst;
+  gst.round_ticks = 256;
+  gst.link = LinkModel::partial_synchrony(ProcessSet::range(5, 7),
+                                          /*gst=*/3, /*seed=*/42);
+  EXPECT_EQ(pin_metrics(simulate(fx.params, fx.factory, fx.proposals,
+                                 Adversary::none(), gst)),
+            "events 242 end 2560 deliveries 222 reordered 2\n"
+            "latency count 222 min 61 max 256 sum 56343 buckets "
+            "0 0 0 0 0 1 1 2 218 0 0 0 0 0 0 0 0 0 0 0\n"
+            "sent_by 36 36 36 30 30 30 30\n"
+            "delivered_to 32 32 32 33 33 29 31\n"
+            "link 0: 0/0/0/0 6/159/0/0 6/159/0/0 6/159/0/0 "
+            "6/159/0/0 5/133/0/1 6/159/0/0\n"
+            "link 1: 6/159/0/0 0/0/0/0 6/159/0/0 6/159/0/0 "
+            "6/159/0/0 5/133/0/1 6/159/0/0\n"
+            "link 2: 6/159/0/0 6/159/0/0 0/0/0/0 6/159/0/0 "
+            "6/159/0/0 6/159/0/0 5/133/0/1\n"
+            "link 3: 5/132/0/0 5/132/0/0 5/132/0/0 0/0/0/0 "
+            "5/132/0/0 4/106/0/1 4/106/0/1\n"
+            "link 4: 5/132/0/0 5/132/0/0 5/132/0/0 5/132/0/0 "
+            "0/0/0/0 4/106/0/1 5/132/0/0\n"
+            "link 5: 5/132/0/0 5/132/0/0 5/132/0/0 5/132/0/0 "
+            "5/132/0/0 0/0/0/0 5/132/0/0\n"
+            "link 6: 5/132/0/0 5/132/0/0 5/132/0/0 5/132/0/0 "
+            "5/132/0/0 5/132/0/0 0/0/0/0\n");
+
+  FaultPlan plan;
+  plan.delay_link(0, 1, /*ticks=*/100, /*from=*/1, /*until=*/2)
+      .delay_link(2, 4, /*ticks=*/300, /*from=*/2, /*until=*/3)
+      .crash_recover(6, /*at=*/1, /*recover=*/5)
+      .crash(5, /*at=*/4);
+  EXPECT_EQ(pin_metrics(simulate(fx.params, fx.factory, fx.proposals,
+                                 Adversary::none(), plan, jitter)),
+            "events 212 end 2560 deliveries 192 reordered 68\n"
+            "latency count 192 min 1 max 255 sum 24353 buckets "
+            "2 0 2 10 13 21 46 98 0 0 0 0 0 0 0 0 0 0 0 0\n"
+            "sent_by 36 36 36 30 30 6 18\n"
+            "delivered_to 26 26 26 27 27 31 29\n"
+            "link 0: 0/0/0/0 6/159/0/0 6/159/0/0 6/159/0/0 "
+            "6/159/0/0 6/159/0/0 6/159/0/0\n"
+            "link 1: 6/159/0/0 0/0/0/0 6/159/0/0 6/159/0/0 "
+            "6/159/0/0 6/159/0/0 6/159/0/0\n"
+            "link 2: 6/159/0/0 6/159/0/0 0/0/0/0 6/159/0/0 "
+            "6/159/0/0 6/159/0/0 6/159/0/0\n"
+            "link 3: 5/132/0/0 5/132/0/0 5/132/0/0 0/0/0/0 "
+            "5/132/0/0 5/132/0/0 5/132/0/0\n"
+            "link 4: 5/132/0/0 5/132/0/0 5/132/0/0 5/132/0/0 "
+            "0/0/0/0 5/132/0/0 5/132/0/0\n"
+            "link 5: 1/26/4/0 1/26/4/0 1/26/4/0 1/26/4/0 "
+            "1/26/4/0 0/0/0/0 1/26/4/0\n"
+            "link 6: 3/80/2/0 3/80/2/0 3/80/2/0 3/80/2/0 "
+            "3/80/2/0 3/80/2/0 0/0/0/0\n");
+}
+
+// Latencies of 2^19 ticks and up share the open-ended top bucket, whose
+// quantile bound is the observed maximum rather than a bucket edge.
+TEST(Simulator, LatencyQuantileBoundsTheTopBucket) {
+  LatencyHistogram h;
+  h.record(std::uint64_t{1} << 25);
+  EXPECT_EQ(h.quantile_upper_bound(0.5), std::uint64_t{1} << 25);
+
+  const SystemParams params{4, 1};
+  const std::vector<Value> proposals{Value::bit(0), Value::bit(1),
+                                     Value::bit(1), Value::bit(1)};
+  SimConfig config;
+  config.round_ticks = std::uint64_t{1} << 20;
+  const SimResult res = simulate(params, protocols::phase_king_consensus(),
+                                 proposals, Adversary::none(), config);
+  const LatencyHistogram& lat = res.metrics.latency;
+  ASSERT_GT(lat.count, 0u);
+  EXPECT_EQ(lat.min, config.round_ticks);
+  EXPECT_GE(lat.quantile_upper_bound(0.5), lat.min);
+  EXPECT_EQ(lat.quantile_upper_bound(0.99), lat.max);
+  // Below the top bucket the bound is still the bucket's upper edge.
+  LatencyHistogram low;
+  low.record(300);
+  EXPECT_EQ(low.quantile_upper_bound(0.5), 511u);
 }
 
 }  // namespace
