@@ -1,6 +1,7 @@
 #include "async/async_system.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -10,7 +11,8 @@ namespace ba::async {
 namespace {
 
 /// One recorded event, materialized into the virtual-round trace at the end
-/// of the run (so the hot loop never touches n * rounds storage).
+/// of the run (so the hot loop never touches n * rounds storage). Kept only
+/// when the run records its trace.
 struct SendRecord {
   std::uint64_t seq;  // == virtual round
   ProcessId sender;
@@ -53,19 +55,25 @@ AsyncRunResult run_async(const SystemParams& params,
                                          : protocol(ctx);
   }
 
-  std::vector<SendRecord> sends;          // index == seq - 1
-  std::vector<PendingMessage> pending;    // in send order
+  std::vector<SendRecord> sends;  // index == seq - 1; traced runs only
+  // The in-flight pool in send order: live messages are pending[head..).
+  // The delivered prefix is dropped once it outgrows the live part, so
+  // memory stays O(in flight) and each delivery is amortised O(1) + O(idx).
+  std::vector<PendingMessage> pending;
+  std::size_t head = 0;
   std::vector<std::uint64_t> deliveries_to(n, 0);
   std::vector<Round> decision_round(n, kNoRound);
 
   auto enqueue = [&](ProcessId sender, Outbox&& outbox) {
     for (Outgoing& o : outbox) {
       if (o.to == sender || o.to >= n) continue;  // A.1.1: no self, in-range
-      const std::uint64_t seq = sends.size() + 1;
-      sends.push_back(SendRecord{seq, sender, o.to, o.payload, false});
+      // The send counter issues seq: 1-based, in send order.
+      const std::uint64_t seq = ++out.run.messages_sent_total;
+      if (options.record_trace) {
+        sends.push_back(SendRecord{seq, sender, o.to, o.payload, false});
+      }
       pending.push_back(PendingMessage{seq, sender, o.to,
                                        std::move(o.payload)});
-      out.run.messages_sent_total++;
       if (!adversary.is_faulty(sender)) out.run.messages_sent_by_correct++;
     }
   };
@@ -78,7 +86,8 @@ AsyncRunResult run_async(const SystemParams& params,
       // far (floored at 1 — the trace is padded to one round if a process
       // decides before any message exists).
       decision_round[p] =
-          static_cast<Round>(std::max<std::uint64_t>(sends.size(), 1));
+          static_cast<Round>(
+              std::max<std::uint64_t>(out.run.messages_sent_total, 1));
     }
   };
 
@@ -90,18 +99,29 @@ AsyncRunResult run_async(const SystemParams& params,
     if (procs[p]) note_decision(p);
   }
 
-  while (!pending.empty() && out.deliveries < options.max_deliveries &&
+  while (head < pending.size() && out.deliveries < options.max_deliveries &&
          (!options.stop_after || out.deliveries < *options.stop_after)) {
-    const std::size_t idx = scheduler.pick(pending, deliveries_to);
-    if (idx >= pending.size()) {
+    const std::span<const PendingMessage> live(pending.data() + head,
+                                               pending.size() - head);
+    const std::size_t idx = scheduler.pick(live, deliveries_to);
+    if (idx >= live.size()) {
       throw std::logic_error("async scheduler picked out of range");
     }
     out.schedule.push_back(static_cast<std::uint32_t>(idx));
-    PendingMessage msg = std::move(pending[idx]);
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(idx));
+    // Take live[idx] out: the idx older messages move up one slot and the
+    // head advances, so a FIFO pick (idx 0) moves nothing.
+    const auto first = pending.begin() + static_cast<std::ptrdiff_t>(head);
+    PendingMessage msg = std::move(first[static_cast<std::ptrdiff_t>(idx)]);
+    std::move_backward(first, first + static_cast<std::ptrdiff_t>(idx),
+                       first + static_cast<std::ptrdiff_t>(idx) + 1);
+    if (++head > pending.size() / 2) {
+      pending.erase(pending.begin(),
+                    pending.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
     out.deliveries++;
     deliveries_to[msg.receiver]++;
-    sends[msg.seq - 1].delivered = true;
+    if (options.record_trace) sends[msg.seq - 1].delivered = true;
     AsyncProcess* receiver = procs[msg.receiver].get();
     if (receiver != nullptr && !receiver->halted()) {
       enqueue(msg.receiver, receiver->on_message(msg.sender, msg.payload));
@@ -109,12 +129,13 @@ AsyncRunResult run_async(const SystemParams& params,
     }
   }
 
-  out.run.quiesced = pending.empty();
+  out.run.quiesced = head == pending.size();
   const bool any_decided = std::any_of(
       out.run.decisions.begin(), out.run.decisions.end(),
       [](const std::optional<Value>& d) { return d.has_value(); });
   const std::uint64_t virtual_rounds =
-      std::max<std::uint64_t>(sends.size(), any_decided ? 1 : 0);
+      std::max<std::uint64_t>(out.run.messages_sent_total,
+                              any_decided ? 1 : 0);
   out.run.rounds_executed = static_cast<Round>(virtual_rounds);
 
   if (options.record_trace) {
@@ -153,7 +174,11 @@ AsyncRunResult run_async(const SystemParams& params,
     out.run.lint = analysis::lint_trace(out.run.trace, lint_options);
   }
 
-  if (options.capture_pending) out.pending = std::move(pending);
+  if (options.capture_pending) {
+    pending.erase(pending.begin(),
+                  pending.begin() + static_cast<std::ptrdiff_t>(head));
+    out.pending = std::move(pending);
+  }
   return out;
 }
 

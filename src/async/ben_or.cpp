@@ -12,7 +12,6 @@ namespace {
 
 using protocols::field;
 using protocols::has_tag;
-using protocols::tagged;
 
 constexpr int kVoteQuestion = 2;  // the '?' proposal of step 2
 
@@ -28,10 +27,8 @@ class BenOrProcess final : public AsyncProcess {
     // r* + 1 <= max_phases + 1, and peers may run one phase ahead of us, so
     // keep room (and accept messages) up to max_phases + 1.
     const std::size_t phases = std::size_t{config_.max_phases} + 2;
-    report_votes_.assign(phases, {});
-    proposal_votes_.assign(phases, {});
-    seen_report_.assign(phases, std::vector<bool>(n_, false));
-    seen_proposal_.assign(phases, std::vector<bool>(n_, false));
+    tallies_.assign(phases, {});
+    seen_.assign(phases * n_ * 2, 0);
   }
 
   Outbox on_start() override {
@@ -68,23 +65,21 @@ class BenOrProcess final : public AsyncProcess {
       return;
     }
     const std::int64_t phase = phase_field->as_int();
-    if (phase < 1 || phase >= static_cast<std::int64_t>(report_votes_.size())) {
+    if (phase < 1 || phase >= static_cast<std::int64_t>(tallies_.size())) {
       return;
     }
     const auto ph = static_cast<std::size_t>(phase);
     if (is_report) {
       const std::optional<int> bit = vote_field->try_bit();
-      if (!bit || seen_report_[ph][sender]) return;
-      seen_report_[ph][sender] = true;
-      report_votes_[ph][static_cast<std::size_t>(*bit)]++;
+      if (!bit || seen(ph, sender, 1)) return;
+      seen(ph, sender, 1) = 1;
+      tallies_[ph].reports[static_cast<std::size_t>(*bit)]++;
     } else {
       if (!vote_field->is_int()) return;
       const std::int64_t vote = vote_field->as_int();
-      if (vote < 0 || vote > kVoteQuestion || seen_proposal_[ph][sender]) {
-        return;
-      }
-      seen_proposal_[ph][sender] = true;
-      proposal_votes_[ph][static_cast<std::size_t>(vote)]++;
+      if (vote < 0 || vote > kVoteQuestion || seen(ph, sender, 2)) return;
+      seen(ph, sender, 2) = 1;
+      tallies_[ph].proposals[static_cast<std::size_t>(vote)]++;
     }
   }
 
@@ -93,10 +88,10 @@ class BenOrProcess final : public AsyncProcess {
   void advance(Outbox& out) {
     while (!halted_) {
       if (step_ == 1) {
-        if (total(report_votes_[phase_]) < n_ - t_) return;
+        if (total(tallies_[phase_].reports) < n_ - t_) return;
         my_vote_ = kVoteQuestion;
         for (int v : {0, 1}) {
-          const std::uint32_t c = report_votes_[phase_][v];
+          const std::uint32_t c = tallies_[phase_].reports[v];
           const bool strong = config_.broken ? 2 * c >= n_ : 2 * c > n_ + t_;
           if (strong) {
             my_vote_ = v;
@@ -107,7 +102,7 @@ class BenOrProcess final : public AsyncProcess {
         step_ = 2;
         continue;
       }
-      if (total(proposal_votes_[phase_]) < n_ - t_) return;
+      if (total(tallies_[phase_].proposals) < n_ - t_) return;
       finish_phase();
       if (halted_) return;
       broadcast_report(out);
@@ -117,7 +112,7 @@ class BenOrProcess final : public AsyncProcess {
   /// Step-2 resolution for the current phase: decide / adopt / flip, then
   /// move to the next phase (or halt).
   void finish_phase() {
-    const auto& votes = proposal_votes_[phase_];
+    const auto& votes = tallies_[phase_].proposals;
     if (config_.broken) {
       if (!decision_ && my_vote_ != kVoteQuestion &&
           votes[static_cast<std::size_t>(my_vote_)] >= 1) {
@@ -151,23 +146,41 @@ class BenOrProcess final : public AsyncProcess {
   }
 
   void broadcast_report(Outbox& out) {
-    seen_report_[phase_][self_] = true;
-    report_votes_[phase_][static_cast<std::size_t>(x_)]++;
-    multicast(out, tagged("bo1", {Value(static_cast<std::int64_t>(phase_)),
-                                  Value::bit(x_)}));
+    seen(phase_, self_, 1) = 1;
+    tallies_[phase_].reports[static_cast<std::size_t>(x_)]++;
+    multicast(out, vote_payload(1, Value::bit(x_)));
   }
 
   void broadcast_proposal(Outbox& out, int vote) {
-    seen_proposal_[phase_][self_] = true;
-    proposal_votes_[phase_][static_cast<std::size_t>(vote)]++;
-    multicast(out, tagged("bo2", {Value(static_cast<std::int64_t>(phase_)),
-                                  Value(static_cast<std::int64_t>(vote))}));
+    seen(phase_, self_, 2) = 1;
+    tallies_[phase_].proposals[static_cast<std::size_t>(vote)]++;
+    multicast(out, vote_payload(2, Value(static_cast<std::int64_t>(vote))));
+  }
+
+  /// ["bo<step>", phase, vote], the protocols::tagged encoding. The tag
+  /// atoms are built once per thread: a broadcast bumps a refcount instead
+  /// of allocating a string, and exploration workers never share one.
+  [[nodiscard]] Value vote_payload(int step, Value vote) const {
+    thread_local const Value kTags[2] = {Value("bo1"), Value("bo2")};
+    ValueVec fields;
+    fields.reserve(3);
+    fields.push_back(kTags[step - 1]);
+    fields.emplace_back(static_cast<std::int64_t>(phase_));
+    fields.push_back(std::move(vote));
+    return Value{std::move(fields)};
   }
 
   void multicast(Outbox& out, const Value& payload) {
+    out.reserve(out.size() + n_ - 1);
     for (ProcessId p = 0; p < n_; ++p) {
       if (p != self_) out.push_back(Outgoing{p, payload});
     }
+  }
+
+  /// The dedup flag of `sender`'s step-`step` vote in `phase`.
+  std::uint8_t& seen(std::size_t phase, ProcessId sender, int step) {
+    const auto slot = static_cast<std::size_t>(step - 1);
+    return seen_[(phase * n_ + sender) * 2 + slot];
   }
 
   template <std::size_t K>
@@ -190,12 +203,15 @@ class BenOrProcess final : public AsyncProcess {
   std::uint32_t halt_after_phase_{0};  // r* + 1 once decided; 0 = undecided
   bool halted_{false};
 
-  // tallies[phase][value]; totals via per-sender dedup so a Byzantine peer
-  // contributes at most one vote per (phase, step).
-  std::vector<std::array<std::uint32_t, 2>> report_votes_;
-  std::vector<std::array<std::uint32_t, 3>> proposal_votes_;
-  std::vector<std::vector<bool>> seen_report_;
-  std::vector<std::vector<bool>> seen_proposal_;
+  // Per-phase vote counts, and one flat dedup flag per (phase, sender,
+  // step) so a Byzantine peer contributes at most one vote per (phase,
+  // step). Two allocations per replica, however many phases.
+  struct Tally {
+    std::array<std::uint32_t, 2> reports{};
+    std::array<std::uint32_t, 3> proposals{};
+  };
+  std::vector<Tally> tallies_;
+  std::vector<std::uint8_t> seen_;
 };
 
 }  // namespace

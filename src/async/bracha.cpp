@@ -58,7 +58,8 @@ class BrachaProcess final : public AsyncProcess {
       sent_echo_ = true;
       echo_from_[self_] = true;
       echoes_++;
-      multicast(out, tagged("echo", {}));
+      thread_local const Value kEcho = tagged("echo", {});
+      multicast(out, kEcho);
     }
     if (sent_echo_ && !sent_ready_ &&
         (echoes_ >= bracha_echo_quorum(n_, t_) ||
@@ -66,14 +67,19 @@ class BrachaProcess final : public AsyncProcess {
       sent_ready_ = true;
       ready_from_[self_] = true;
       readies_++;
-      multicast(out, tagged("ready", {}));
+      thread_local const Value kReady = tagged("ready", {});
+      multicast(out, kReady);
     }
     if (sent_ready_ && !decision_ && readies_ >= bracha_ready_quorum(t_)) {
       decision_ = Value::bit(1);
     }
   }
 
+  /// Callers pass payloads built once per thread (a broadcast bumps a
+  /// refcount instead of allocating), never process-wide: exploration
+  /// workers would contend on one shared refcount.
   void multicast(Outbox& out, const Value& payload) {
+    out.reserve(out.size() + n_ - 1);
     for (ProcessId p = 0; p < n_; ++p) {
       if (p != self_) out.push_back(Outgoing{p, payload});
     }

@@ -1,6 +1,7 @@
 #include "async/explore.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -307,8 +308,17 @@ std::optional<SafetyViolation> binary_consensus_safety(
 
 ExploreReport explore(const ExploreTask& task, const ExploreOptions& options) {
   const TaskContext ctx = resolve(task);
-  parallel::ExperimentPool pool(options.jobs);
   std::vector<PartitionResult> parts;
+  // At most one worker per partition: a huge jobs value starts no idle
+  // threads.
+  const auto map_partitions =
+      [&](std::size_t count,
+          const std::function<PartitionResult(std::size_t)>& fn) {
+        parallel::ExperimentPool pool(static_cast<unsigned>(
+            std::clamp<std::size_t>(count, 1,
+                                    parallel::resolve_jobs(options.jobs))));
+        return pool.map<PartitionResult>(count, fn);
+      };
 
   if (options.exhaustive) {
     // Partition at the root's first-choice branches; each branch explores
@@ -324,16 +334,15 @@ ExploreReport explore(const ExploreTask& task, const ExploreOptions& options) {
       dfs(ctx, options.depth, prefix, only);
       parts.push_back(std::move(only));
     } else {
-      parts = pool.map<PartitionResult>(
-          branches.size(), [&](std::size_t i) {
-            PartitionResult part;
-            std::vector<std::uint32_t> prefix{branches[i]};
-            dfs(ctx, options.depth, prefix, part);
-            return part;
-          });
+      parts = map_partitions(branches.size(), [&](std::size_t i) {
+        PartitionResult part;
+        std::vector<std::uint32_t> prefix{branches[i]};
+        dfs(ctx, options.depth, prefix, part);
+        return part;
+      });
     }
   } else {
-    parts = pool.map<PartitionResult>(
+    parts = map_partitions(
         static_cast<std::size_t>(options.samples), [&](std::size_t i) {
           const std::uint64_t index = options.start_index + i;
           const std::uint64_t seed =

@@ -69,8 +69,8 @@ struct ExploreOptions {
   std::uint64_t seed{1};
   /// Sampling mode: index of the first schedule (resume point).
   std::uint64_t start_index{0};
-  /// Worker threads (0 = hardware concurrency). Results are identical for
-  /// any value.
+  /// Worker threads (0 = hardware concurrency), capped at the partition
+  /// count. Results are identical for any value.
   std::uint32_t jobs{1};
 };
 

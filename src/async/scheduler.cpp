@@ -9,7 +9,7 @@ namespace {
 
 class FifoScheduler final : public Scheduler {
  public:
-  std::size_t pick(const std::vector<PendingMessage>& /*pending*/,
+  std::size_t pick(std::span<const PendingMessage> /*pending*/,
                    const std::vector<std::uint64_t>& /*deliveries_to*/)
       override {
     return 0;  // pending is kept in send order
@@ -21,7 +21,7 @@ class RandomScheduler final : public Scheduler {
  public:
   explicit RandomScheduler(std::uint64_t seed) : state_(seed) {}
 
-  std::size_t pick(const std::vector<PendingMessage>& pending,
+  std::size_t pick(std::span<const PendingMessage> pending,
                    const std::vector<std::uint64_t>& /*deliveries_to*/)
       override {
     return static_cast<std::size_t>(next() % pending.size());
@@ -43,7 +43,7 @@ class RandomScheduler final : public Scheduler {
 
 class DelayDeciderScheduler final : public Scheduler {
  public:
-  std::size_t pick(const std::vector<PendingMessage>& pending,
+  std::size_t pick(std::span<const PendingMessage> pending,
                    const std::vector<std::uint64_t>& deliveries_to) override {
     // Serve the least-served receiver: the process closest to a quorum is
     // exactly the one we refuse to feed. Ties break toward the oldest
@@ -67,7 +67,7 @@ class RoundRobinStarveScheduler final : public Scheduler {
   RoundRobinStarveScheduler(std::uint64_t seed, std::uint32_t n)
       : n_(n), victim_(static_cast<ProcessId>(seed % (n == 0 ? 1 : n))) {}
 
-  std::size_t pick(const std::vector<PendingMessage>& pending,
+  std::size_t pick(std::span<const PendingMessage> pending,
                    const std::vector<std::uint64_t>& /*deliveries_to*/)
       override {
     // Round-robin over receivers, skipping the victim; the victim is served
@@ -88,7 +88,7 @@ class RoundRobinStarveScheduler final : public Scheduler {
 
  private:
   static std::optional<std::size_t> earliest_to(
-      const std::vector<PendingMessage>& pending, ProcessId r) {
+      std::span<const PendingMessage> pending, ProcessId r) {
     for (std::size_t i = 0; i < pending.size(); ++i) {
       if (pending[i].receiver == r) return i;
     }

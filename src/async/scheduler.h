@@ -20,12 +20,17 @@
 //                  with pending traffic (maximal single-process starvation
 //                  under reliable links)
 //
+// What `pick` sees: a span over the executor's live in-flight pool, in send
+// order. An index is relative to that span, so scripted choices and
+// certificates name the same message however the executor stores the pool.
+//
 // Determinism contract: `pick` must be a pure function of the scheduler's
 // own state and its arguments. The explored-schedule replay machinery and
 // the jobs∈{1,2,8} byte-identity battery depend on it.
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +41,10 @@ namespace ba::async {
 
 /// One in-flight message. `seq` is the global 1-based send-sequence number —
 /// the executor also uses it as the message's virtual round in recorded
-/// traces, so (sender, receiver, seq) is a unique A.1.1 identity.
+/// traces, so (sender, receiver, seq) is a unique A.1.1 identity. The
+/// registered protocols build their payload tag atoms ("bo1", "echo", ...)
+/// once per thread, so equal payloads often share storage; compare them by
+/// value, never by identity.
 struct PendingMessage {
   std::uint64_t seq{0};
   ProcessId sender{kNoProcess};
@@ -48,10 +56,10 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Picks the index (into `pending`, non-empty, in send order) of the next
-  /// message to deliver. `deliveries_to[p]` counts messages delivered to
-  /// process p so far.
-  virtual std::size_t pick(const std::vector<PendingMessage>& pending,
+  /// Picks the index (into `pending`, the non-empty live pool in send
+  /// order) of the next message to deliver. `deliveries_to[p]` counts
+  /// messages delivered to process p so far.
+  virtual std::size_t pick(std::span<const PendingMessage> pending,
                            const std::vector<std::uint64_t>& deliveries_to) = 0;
 
   [[nodiscard]] virtual const char* name() const = 0;
@@ -80,7 +88,7 @@ class ScriptedScheduler final : public Scheduler {
                     std::unique_ptr<Scheduler> base)
       : choices_(std::move(choices)), base_(std::move(base)) {}
 
-  std::size_t pick(const std::vector<PendingMessage>& pending,
+  std::size_t pick(std::span<const PendingMessage> pending,
                    const std::vector<std::uint64_t>& deliveries_to) override {
     if (next_ < choices_.size()) {
       const std::size_t c = choices_[next_++];

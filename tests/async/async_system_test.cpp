@@ -2,11 +2,12 @@
 // validation fails fast with pinned messages, completed runs quiesce into a
 // well-formed virtual-round trace that the async-aware linter accepts,
 // truncated runs capture their in-flight pool, crashed processes stay
-// silent, and a recorded schedule replayed through a ScriptedScheduler
-// reproduces the run exactly.
+// silent, a recorded schedule replayed through a ScriptedScheduler
+// reproduces the run exactly, and trace recording never changes a run.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -182,6 +183,79 @@ TEST(RunAsync, RecordedScheduleReplaysExactly) {
   EXPECT_EQ(replay.deliveries, original.deliveries);
   EXPECT_EQ(replay.schedule, original.schedule);
   EXPECT_EQ(encode_trace(replay.run.trace), encode_trace(original.run.trace));
+}
+
+// FNV-1a over the encoded trace: a compact pin for trace bytes.
+std::uint64_t fnv1a(const Bytes& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(RunAsyncTrace, TracedAndUntracedRunsAgreeAndTraceBytesArePinned) {
+  // Trace recording is pure observation: switching it off must not move a
+  // single decision, pick or counter. The traced bytes are pinned from the
+  // executor as it stood before untraced runs stopped keeping send records
+  // (commit ba5ada2), so the encoding cannot drift either.
+  struct Case {
+    const char* protocol;
+    const char* strategy;
+    std::uint64_t deliveries;
+    std::uint64_t trace_fnv1a;
+  };
+  const Case cases[] = {
+      {"ben-or", "fifo", 72, 0x4a16634951f1d61cull},
+      {"ben-or", "random", 72, 0xfd5e3ee20fd23a22ull},
+      {"ben-or", "delay-decider", 72, 0x4a16634951f1d61cull},
+      {"ben-or", "rr-starve", 72, 0xef726b37e1f09b72ull},
+      {"ben-or-broken", "fifo", 48, 0x001ebdcd693f7335ull},
+      {"ben-or-broken", "random", 48, 0x6a6b38454b72d2e5ull},
+      {"ben-or-broken", "delay-decider", 48, 0x001ebdcd693f7335ull},
+      {"ben-or-broken", "rr-starve", 48, 0xd65a6615bb938d7dull},
+      {"ben-or-local", "fifo", 96, 0x07cc5a16a1cc5d64ull},
+      {"ben-or-local", "random", 96, 0x3e369d67dde4c398ull},
+      {"ben-or-local", "delay-decider", 96, 0x07cc5a16a1cc5d64ull},
+      {"ben-or-local", "rr-starve", 96, 0xc08c22158b31b2bcull},
+      {"bracha", "fifo", 24, 0x49276fec45c14f77ull},
+      {"bracha", "random", 24, 0x97d2a705d3937f18ull},
+      {"bracha", "delay-decider", 24, 0x49276fec45c14f77ull},
+      {"bracha", "rr-starve", 24, 0x1f37aa7e1d390132ull},
+  };
+  const SystemParams params{4, 1};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.protocol) + " / " + c.strategy);
+    const AsyncProtocolInfo* info = find_async_protocol(c.protocol);
+    ASSERT_NE(info, nullptr);
+    // Split inputs for Ben-Or; Bracha needs 2t + 1 ones to accept.
+    const std::vector<Value> proposals =
+        bit_proposals(std::string(c.protocol) == "bracha"
+                          ? std::vector<int>{1, 1, 0, 1}
+                          : std::vector<int>{0, 1, 0, 1});
+    const auto run = [&](bool record_trace) {
+      auto scheduler = make_scheduler(c.strategy, 3, params.n);
+      AsyncRunOptions options;
+      options.record_trace = record_trace;
+      return run_async(params, info->make(1), proposals,
+                       AsyncAdversary::none(), *scheduler, options);
+    };
+    const AsyncRunResult traced = run(true);
+    const AsyncRunResult untraced = run(false);
+    EXPECT_EQ(untraced.run.decisions, traced.run.decisions);
+    EXPECT_EQ(untraced.schedule, traced.schedule);
+    EXPECT_EQ(untraced.deliveries, traced.deliveries);
+    EXPECT_EQ(untraced.run.messages_sent_total,
+              traced.run.messages_sent_total);
+    EXPECT_EQ(untraced.run.messages_sent_by_correct,
+              traced.run.messages_sent_by_correct);
+    EXPECT_EQ(untraced.run.rounds_executed, traced.run.rounds_executed);
+    EXPECT_EQ(untraced.run.quiesced, traced.run.quiesced);
+    EXPECT_TRUE(untraced.run.trace.procs.empty());
+    EXPECT_EQ(traced.deliveries, c.deliveries);
+    EXPECT_EQ(fnv1a(encode_trace(traced.run.trace)), c.trace_fnv1a);
+  }
 }
 
 TEST(Schedulers, MakeSchedulerRejectsUnknownStrategies) {

@@ -2,8 +2,9 @@
 // correct protocol finds zero violations, the broken protocol yields a
 // minimized certificate whose replay reproduces the recorded violation, the
 // report is byte-identical for jobs in {1, 2, 8} (the determinism battery),
-// sampling campaigns are seeded and resumable, and the certificate text
-// format round-trips with line-numbered decode errors.
+// sampling campaigns are seeded and resumable, the certificate text format
+// round-trips with line-numbered decode errors, and golden reports pin the
+// exact explored-schedule set of every async protocol.
 
 #include <gtest/gtest.h>
 
@@ -291,6 +292,127 @@ TEST(BinaryConsensusSafety, DiagnosesEachProperty) {
   EXPECT_FALSE(
       binary_consensus_safety(params, proposals, faulty, decisions)
           .has_value());
+}
+
+// Golden reports. Every expected value below was recorded from the explorer
+// as it stood before the executor's pending pool and Ben-Or's replica state
+// were flattened (commit ba5ada2). The jobs-invariance battery above cannot
+// catch a change that moves the serial and parallel sides together; these
+// pins can.
+struct GoldenReport {
+  const char* protocol;
+  std::uint64_t schedules;
+  std::uint64_t deliveries;
+  std::uint64_t quiesced;
+  std::uint64_t all_decided;
+  std::uint64_t violations;
+  std::uint64_t digest;
+};
+
+void expect_golden(const ExploreReport& got, const GoldenReport& want) {
+  EXPECT_EQ(got.schedules, want.schedules);
+  EXPECT_EQ(got.deliveries, want.deliveries);
+  EXPECT_EQ(got.quiesced, want.quiesced);
+  EXPECT_EQ(got.all_decided, want.all_decided);
+  EXPECT_EQ(got.violations, want.violations);
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.certificate.has_value(), want.violations != 0);
+}
+
+/// The ben-or-broken certificate at (4, 1), proposals 0101: fifo alone
+/// already violates, so every minimized certificate has no choices.
+std::string broken_certificate(const std::string& completion) {
+  return "ba-async-cert v1\n"
+         "protocol ben-or-broken\n"
+         "n 4\n"
+         "t 1\n"
+         "proposals 0 1 0 1\n"
+         "faulty\n"
+         "coin-seed 1\n"
+         "completion " + completion + "\n"
+         "max-deliveries 100000\n"
+         "choices\n"
+         "property agreement\n"
+         "detail process 0 decided 0 but process 3 decided 1\n";
+}
+
+TEST(ExploreGolden, ExhaustiveDepth3) {
+  const GoldenReport golden[] = {
+      {"ben-or", 1392, 100224, 1392, 1392, 0, 0xa9654a0a2626db0bull},
+      {"ben-or-broken", 16, 768, 16, 16, 12, 0xf10adbf325333731ull},
+      {"ben-or-local", 1392, 133632, 1392, 1392, 0, 0x272d74bc68e02d0eull},
+      {"bracha", 120, 720, 120, 0, 0, 0x6e15445db78afb0eull},
+  };
+  for (const GoldenReport& want : golden) {
+    SCOPED_TRACE(want.protocol);
+    ExploreOptions options;
+    options.exhaustive = true;
+    options.depth = 3;
+    const ExploreReport got = explore(task_for(want.protocol, 4, 1), options);
+    expect_golden(got, want);
+    if (got.certificate) {
+      EXPECT_EQ(got.certificate->encode(), broken_certificate("fifo 1"));
+    }
+  }
+}
+
+TEST(ExploreGolden, Sampling64Seed7) {
+  const GoldenReport golden[] = {
+      {"ben-or", 64, 4608, 64, 64, 0, 0x839f747549a408aaull},
+      {"ben-or-broken", 64, 3072, 64, 64, 59, 0x2067a9790da789bfull},
+      {"ben-or-local", 64, 6144, 64, 64, 0, 0x4d10381d655da320ull},
+      {"bracha", 64, 384, 64, 0, 0, 0xc6e5ab9327bb4ee7ull},
+  };
+  for (const GoldenReport& want : golden) {
+    SCOPED_TRACE(want.protocol);
+    ExploreOptions options;
+    options.samples = 64;
+    options.seed = 7;
+    const ExploreReport got = explore(task_for(want.protocol, 4, 1), options);
+    expect_golden(got, want);
+    if (got.certificate) {
+      EXPECT_EQ(got.certificate->encode(), broken_certificate("fifo 1"));
+    }
+  }
+}
+
+TEST(ExploreGolden, StarvingCompletionStrategiesAtDepth2) {
+  // delay-decider and rr-starve read the pending pool beyond its head, so
+  // they pin the live-pool view `Scheduler::pick` is given.
+  struct Case {
+    const char* strategy;
+    GoldenReport want;
+  };
+  const Case cases[] = {
+      {"delay-decider",
+       {"ben-or", 132, 9504, 132, 132, 0, 0x1ebd9b46b70b14deull}},
+      {"rr-starve", {"ben-or", 132, 9504, 132, 132, 0, 0x0f81da5ac407ee35ull}},
+      {"delay-decider",
+       {"ben-or-broken", 17, 816, 17, 17, 12, 0x32bbe27acff7eeb2ull}},
+      {"rr-starve",
+       {"ben-or-broken", 17, 816, 17, 17, 12, 0x5fd6f1663cf28d1eull}},
+      {"delay-decider",
+       {"ben-or-local", 132, 12672, 132, 132, 0, 0x8fb5757c1b971c81ull}},
+      {"rr-starve",
+       {"ben-or-local", 132, 12672, 132, 132, 0, 0x5423ed4aad9b0d2cull}},
+      {"delay-decider", {"bracha", 30, 180, 30, 0, 0, 0xe5adedf3d3348ad6ull}},
+      {"rr-starve", {"bracha", 30, 180, 30, 0, 0, 0xa9c3d3fb11e46152ull}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.want.protocol) + " / " + c.strategy);
+    ExploreTask task = task_for(c.want.protocol, 4, 1);
+    task.completion_strategy = c.strategy;
+    task.completion_seed = 3;
+    ExploreOptions options;
+    options.exhaustive = true;
+    options.depth = 2;
+    const ExploreReport got = explore(task, options);
+    expect_golden(got, c.want);
+    if (got.certificate) {
+      EXPECT_EQ(got.certificate->encode(),
+                broken_certificate(std::string(c.strategy) + " 3"));
+    }
+  }
 }
 
 TEST(AsyncBackendIntegration, RegistrySpecDrivesTheScheduler) {

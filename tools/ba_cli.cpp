@@ -52,6 +52,7 @@
 // protocols: see tool_protocols.h
 // properties: weak | strong | sender | ic | any-proposed | constant
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -140,6 +141,23 @@ std::optional<Bytes> read_file(const std::string& path) {
   Bytes bytes((std::istreambuf_iterator<char>(in)),
               std::istreambuf_iterator<char>());
   return bytes;
+}
+
+/// Parses a worker-count value (`--jobs`, `--workers`) as a whole unsigned
+/// decimal; 0 keeps its "hardware concurrency" meaning. Rejects "-1",
+/// "abc", "4x" and out-of-range values with a message naming `flag`, so a
+/// typo can never turn into billions of threads or worker processes.
+std::optional<unsigned> parse_worker_count(const char* flag,
+                                           const char* text) {
+  unsigned value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end) {
+    std::fprintf(stderr, "%s: want a non-negative integer, got '%s'\n", flag,
+                 text);
+    return std::nullopt;
+  }
+  return value;
 }
 
 int cmd_bound(int argc, char** argv) {
@@ -612,7 +630,9 @@ int cmd_sweep(int argc, char** argv) {
   std::string out_path;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      options.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+      const auto jobs = parse_worker_count("sweep --jobs", argv[++i]);
+      if (!jobs) return 2;
+      options.jobs = *jobs;
     } else if (std::strcmp(argv[i], "--grid") == 0 && i + 1 < argc) {
       auto parsed = parse_grid(argv[++i]);
       if (!parsed) {
@@ -718,7 +738,9 @@ int cmd_serve(int argc, char** argv) {
     if (std::strcmp(argv[i], "--state") == 0 && i + 1 < argc) {
       options.state_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      options.workers = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      const auto workers = parse_worker_count("serve --workers", argv[++i]);
+      if (!workers) return 2;
+      options.workers = *workers;
     } else if (std::strcmp(argv[i], "--respawns") == 0 && i + 1 < argc) {
       options.respawn_budget =
           static_cast<std::uint32_t>(std::atoi(argv[++i]));
@@ -969,7 +991,9 @@ int cmd_explore(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--max-deliveries") == 0 && i + 1 < argc) {
       task.max_deliveries = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      options.jobs = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      const auto jobs = parse_worker_count("explore --jobs", argv[++i]);
+      if (!jobs) return 2;
+      options.jobs = *jobs;
     } else if (std::strcmp(argv[i], "--save") == 0 && i + 1 < argc) {
       save_cert = argv[++i];
     } else if (std::strcmp(argv[i], "--save-trace") == 0 && i + 1 < argc) {
