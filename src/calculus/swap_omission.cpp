@@ -79,17 +79,21 @@ SwapPreconditions check_swap_preconditions(const ExecutionTrace& e,
 
   // Predicted F': every process that still commits an omission after the
   // swap. That is: (old faulty minus p_i if p_i only had those omissions)
-  // union blame — computed exactly by simulating the membership test.
+  // union blame — computed exactly by simulating the membership test. M
+  // holds only messages addressed to p_i, so only those are looked up.
+  const auto in_m = [&](const Message& m) {
+    return m.receiver == p_i && m_set.contains(m.key());
+  };
   ProcessSet predicted;
   for (ProcessId z = 0; z < e.params.n; ++z) {
     bool faulty = false;
     for (const RoundEvents& re : e.procs[z].rounds) {
       for (const Message& m : re.sent) {
-        if (m_set.contains(m.key())) faulty = true;  // will send-omit
+        if (in_m(m)) faulty = true;  // will send-omit
       }
       if (!re.send_omitted.empty()) faulty = true;
       for (const Message& m : re.receive_omitted) {
-        if (!m_set.contains(m.key())) faulty = true;  // keeps an omission
+        if (!in_m(m)) faulty = true;  // keeps an omission
       }
     }
     if (faulty) predicted.insert(z);

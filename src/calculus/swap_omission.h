@@ -35,6 +35,11 @@ SwapResult swap_omission(const ExecutionTrace& e, ProcessId p_i);
 ///  * some process p_h != p_i is correct in E and sent nothing p_i omitted
 ///    (so p_h stays correct in E').
 /// Returns such a witness p_h on success, or an error string.
+///
+/// `e` must pass `ExecutionTrace::validate()` (every executor-built trace
+/// does): the check looks a sent message up in p_i's receive-omitted set
+/// only when it is addressed to p_i, which is exact only when every
+/// receive-omitted record of p_i names p_i as its receiver.
 struct SwapPreconditions {
   bool ok{false};
   std::string error;

@@ -40,64 +40,66 @@ class Engine {
   }
 
   AttackReport run() {
-    // Step 0: fault-free executions E_0 and E_1 (sanity + R_max).
-    ExecutionTrace e0 = run_fault_free(0);
+    // Step 0: fault-free executions E_0 and E_1 (sanity + R_max). Only
+    // their R_max values outlive the check.
+    const Round r_max0 = run_fault_free(0);
     if (done()) return finish();
-    ExecutionTrace e1 = run_fault_free(1);
+    const Round r_max1 = run_fault_free(1);
     if (done()) return finish();
 
-    // Step 1: the default bit — A's decision with B isolated from round 1.
-    IsolatedExecution e0b1 = run_isolated(0, b_, 1);
-    auto d0 = correct_decision(e0b1.trace, "E_0^B(1)");
-    if (done()) return finish();
-    report_.default_bit = d0->try_bit().value_or(-1);
-    log_ << "decision of A in E_0^B(1): " << *d0 << "\n";
-
-    // Step 2: pick the execution family with a Lemma 4 flip.
     int family;
-    if (*d0 != Value::bit(0)) {
-      family = 0;  // decision at k=1 differs from the fault-free decision 0
-    } else {
-      IsolatedExecution e1b1 = run_isolated(1, b_, 1);
-      auto d1 = correct_decision(e1b1.trace, "E_1^B(1)");
+    {  // The round-1 executions are dropped once the family is picked.
+      // Step 1: the default bit — A's decision with B isolated from round 1.
+      IsolatedExecution e0b1 = run_isolated(0, b_, 1);
+      auto d0 = correct_decision(e0b1.trace, "E_0^B(1)");
       if (done()) return finish();
-      log_ << "decision of A in E_1^B(1): " << *d1 << "\n";
-      if (*d1 != Value::bit(1)) {
-        family = 1;
+      report_.default_bit = d0->try_bit().value_or(-1);
+      log_ << "decision of A in E_0^B(1): " << *d0 << "\n";
+
+      // Step 2: pick the execution family with a Lemma 4 flip.
+      if (*d0 != Value::bit(0)) {
+        family = 0;  // decision at k=1 differs from the fault-free decision 0
       } else {
-        // d0 = 0 and d1 = 1: two round-1 mergeable pairs cannot both agree
-        // (Lemma 3). Measure E_1^C(1) and drill whichever pair differs.
-        IsolatedExecution e1c1 = run_isolated(1, c_, 1);
-        auto z = correct_decision(e1c1.trace, "E_1^C(1)");
+        IsolatedExecution e1b1 = run_isolated(1, b_, 1);
+        auto d1 = correct_decision(e1b1.trace, "E_1^B(1)");
         if (done()) return finish();
-        log_ << "decision of A in E_1^C(1): " << *z << "\n";
-        if (*z != *d0) {
-          drill(e0b1, *d0, e1c1, *z, "merge(E_0^B(1), E_1^C(1))");
+        log_ << "decision of A in E_1^B(1): " << *d1 << "\n";
+        if (*d1 != Value::bit(1)) {
+          family = 1;
         } else {
-          drill(e1b1, *d1, e1c1, *z, "merge(E_1^B(1), E_1^C(1))");
+          // d0 = 0 and d1 = 1: two round-1 mergeable pairs cannot both
+          // agree (Lemma 3). Measure E_1^C(1) and drill whichever pair
+          // differs.
+          IsolatedExecution e1c1 = run_isolated(1, c_, 1);
+          auto z = correct_decision(e1c1.trace, "E_1^C(1)");
+          if (done()) return finish();
+          log_ << "decision of A in E_1^C(1): " << *z << "\n";
+          if (*z != *d0) {
+            drill(e0b1, *d0, e1c1, *z, "merge(E_0^B(1), E_1^C(1))");
+          } else {
+            drill(e1b1, *d1, e1c1, *z, "merge(E_1^B(1), E_1^C(1))");
+          }
+          return finish();
         }
-        return finish();
       }
     }
     report_.family_bit = family;
     log_ << "using proposal-" << family << " execution family\n";
 
     // Step 3: Lemma 4 — scan isolation rounds for the decision flip.
-    const ExecutionTrace& base = family == 0 ? e0 : e1;
-    Round r_max = 1;
-    for (const ProcessTrace& pt : base.procs) {
-      r_max = std::max(r_max, pt.decision_round + 1);
-    }
+    const Round r_max = family == 0 ? r_max0 : r_max1;
     log_ << "R_max = " << r_max << "\n";
 
-    std::vector<IsolatedExecution> family_execs;  // index k-1 => E^B(k)
+    // Only E^B(k-1) and E^B(k) are kept: a flip drills one of the two.
+    std::optional<IsolatedExecution> prev, cur;
     std::vector<Value> decs;
     std::optional<Round> flip;
     for (Round k = 1; k <= r_max; ++k) {
-      family_execs.push_back(run_isolated(family, b_, k));
+      prev = std::move(cur);
+      cur = run_isolated(family, b_, k);
       std::ostringstream name;
       name << "E_" << family << "^B(" << k << ")";
-      auto d = correct_decision(family_execs.back().trace, name.str());
+      auto d = correct_decision(cur->trace, name.str());
       if (done()) return finish();
       decs.push_back(*d);
       if (k >= 2 && decs[k - 1] != decs[k - 2]) {
@@ -126,12 +128,12 @@ class Engine {
     if (*z != decs[r - 1]) {
       std::ostringstream how;
       how << "merge(E_" << family << "^B(" << r << "), " << cname.str() << ")";
-      drill(family_execs[r - 1], decs[r - 1], ec_r, *z, how.str());
+      drill(*prev, decs[r - 1], ec_r, *z, how.str());
     } else {
       std::ostringstream how;
       how << "merge(E_" << family << "^B(" << (r + 1) << "), " << cname.str()
           << ")";
-      drill(family_execs[r], decs[r], ec_r, *z, how.str());
+      drill(*cur, decs[r], ec_r, *z, how.str());
     }
     return finish();
   }
@@ -158,28 +160,34 @@ class Engine {
         std::max(report_.max_message_complexity, e.message_complexity());
   }
 
-  ExecutionTrace run_fault_free(int bit) {
+  /// Runs E_bit and returns its R_max: the latest decision round + 1 (at
+  /// least 1). The trace itself is dropped, or moved into a certificate.
+  Round run_fault_free(int bit) {
     RunResult res =
         backend_.run_all_correct(params_, protocol_, Value::bit(bit),
                                  run_opts());
     observe(res.trace);
+    Round r_max = 1;
+    for (const ProcessTrace& pt : res.trace.procs) {
+      r_max = std::max(r_max, pt.decision_round + 1);
+    }
     std::ostringstream name;
     name << "E_" << bit << " (fault-free, unanimous " << bit << ")";
     auto d = correct_decision(res.trace, name.str());
-    if (done()) return res.trace;
+    if (done()) return r_max;
     if (*d != Value::bit(bit)) {
       // Fault-free unanimous execution deciding the other value: a direct
       // Weak Validity violation.
       ViolationCertificate cert;
       cert.kind = ViolationKind::kWeakValidity;
-      cert.execution = res.trace;
+      cert.execution = std::move(res.trace);
       cert.witness_a = 0;
       std::ostringstream os;
       os << name.str() << " decides " << *d << " instead of " << bit;
       cert.narrative = os.str();
       emit(std::move(cert));
     }
-    return res.trace;
+    return r_max;
   }
 
   IsolatedExecution run_isolated(int bit, const ProcessSet& g, Round k) {

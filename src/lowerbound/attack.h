@@ -58,7 +58,11 @@ struct AttackReport {
 };
 
 /// Runs the full attack against `protocol` (a candidate binary
-/// weak-consensus protocol in the omission model).
+/// weak-consensus protocol in the omission model). Executions are kept only
+/// while they can still be read: the fault-free E_0 and E_1 are dropped as
+/// soon as they are checked (only their R_max survives, unless one becomes
+/// a Weak Validity certificate), the round-1 executions once the family is
+/// picked, and the Lemma 4 scan holds only E^B(k-1) and E^B(k).
 AttackReport attack_weak_consensus(const SystemParams& params,
                                    const ProtocolFactory& protocol,
                                    const AttackOptions& options = {});

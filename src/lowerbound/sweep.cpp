@@ -1,5 +1,6 @@
 #include "lowerbound/sweep.h"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -188,17 +189,19 @@ SweepResult run_attack_sweep(const std::vector<SweepEntry>& entries,
     if (options.on_row) options.on_row(piece.point, row);
     if (options.keep_rows) result.rows[piece.point] = std::move(row);
   };
-  if (options.jobs == 1) {
+  // At most one worker per piece: a huge jobs value starts no idle threads.
+  const auto jobs = static_cast<unsigned>(std::clamp<std::size_t>(
+      pieces.size(), 1, parallel::resolve_jobs(options.jobs)));
+  if (jobs == 1) {
     for (const Piece& piece : pieces) run_piece(piece);
-    result.jobs_used = 1;
   } else {
-    parallel::ExperimentPool pool(options.jobs);
+    parallel::ExperimentPool pool(jobs);
     for (const Piece& piece : pieces) {
       pool.submit([&run_piece, piece] { run_piece(piece); });
     }
     pool.collect();
-    result.jobs_used = pool.jobs();
   }
+  result.jobs_used = jobs;
   result.wall_micros = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)

@@ -96,6 +96,7 @@ struct SweepOptions {
   AttackOptions attack;
   /// Worker threads to fan the pieces across: 1 (default) runs the piece
   /// list in order in the calling thread; 0 means hardware concurrency.
+  /// Capped at the number of pieces: a sweep never starts idle workers.
   unsigned jobs{1};
   /// Streaming hook: called once per grid point with (index, row) when the
   /// point's last piece completes, on the thread that ran that piece; the
@@ -126,7 +127,8 @@ struct SweepResult {
   std::vector<SweepRow> rows;
   /// Grid points evaluated (rows.size() when rows are kept).
   std::size_t points{0};
-  /// Resolved worker count the sweep ran with (1 for the serial path).
+  /// Resolved worker count the sweep ran with: min(resolve_jobs(jobs),
+  /// pieces), and 1 for the serial path.
   unsigned jobs_used{1};
   /// Wall-clock time of the grid evaluation, microseconds.
   std::uint64_t wall_micros{0};

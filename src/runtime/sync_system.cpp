@@ -20,10 +20,13 @@ void normalize_outbox_into(const Outbox& out, ProcessId self, Round r,
   // Restore the bitmap to all-zero by visiting only the receivers just
   // marked — cheaper than an O(n) wipe when outboxes are sparse.
   for (const Message& m : msgs) seen[m.receiver] = 0;
-  std::sort(msgs.begin(), msgs.end(),
-            [](const Message& a, const Message& b) {
-              return a.receiver < b.receiver;
-            });
+  // Multicasts already come in receiver order; sort only the rest.
+  const auto by_receiver = [](const Message& a, const Message& b) {
+    return a.receiver < b.receiver;
+  };
+  if (!std::is_sorted(msgs.begin(), msgs.end(), by_receiver)) {
+    std::sort(msgs.begin(), msgs.end(), by_receiver);
+  }
 }
 
 std::vector<Message> normalize_outbox(const Outbox& out, ProcessId self,
@@ -120,6 +123,10 @@ RunResult run_execution(const SystemParams& params,
       if (tracing) {
         RoundEvents& ev = scratch.events[p];
         ev.sent.clear();
+        // Exact size when every message is sent (no send-omission check).
+        if (scratch.may_drop_send[p] == 0) {
+          ev.sent.reserve(scratch.outs[p].size());
+        }
         ev.send_omitted.clear();
         ev.received.clear();
         ev.receive_omitted.clear();
@@ -149,7 +156,8 @@ RunResult run_execution(const SystemParams& params,
           }
           continue;
         }
-        scratch.inboxes[m.receiver].push_back(m);
+        // outs[p] is rebuilt next round, so the message moves.
+        scratch.inboxes[m.receiver].push_back(std::move(m));
       }
     }
 

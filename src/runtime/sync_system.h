@@ -97,7 +97,9 @@ ReplayResult replay_process(const SystemParams& params,
 
 /// Turns a raw outbox into well-formed round-`r` messages from `self`:
 /// drops self-sends and out-of-range receivers and keeps the first message
-/// per receiver (the model allows at most one, A.1.1). Sorted by receiver.
+/// per receiver (the model allows at most one, A.1.1). Sorted by receiver;
+/// the sort runs only when the kept messages are not already in receiver
+/// order (a multicast's are).
 std::vector<Message> normalize_outbox(const Outbox& out, ProcessId self,
                                       Round r, std::uint32_t n);
 

@@ -126,6 +126,10 @@ SimResult simulate(const SystemParams& params, const ProtocolFactory& protocol,
       if (tracing) {
         RoundEvents& re = scratch.events[p];
         re.sent.clear();
+        // Exact size when every message is sent (no send-omission check).
+        if (scratch.may_drop_send[p] == 0) {
+          re.sent.reserve(scratch.outs[p].size());
+        }
         re.send_omitted.clear();
         re.received.clear();
         re.receive_omitted.clear();

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "adversary/omission.h"
 #include "calculus/isolation.h"
@@ -12,6 +15,7 @@
 #include "calculus/swap_omission.h"
 #include "crypto/signature.h"
 #include "protocols/common.h"
+#include "protocols/registry.h"
 #include "protocols/weak_consensus.h"
 #include "runtime/sync_system.h"
 
@@ -244,6 +248,113 @@ TEST(SwapOmission, WorksOnRealProtocol) {
   EXPECT_FALSE(swapped.execution.faulty.contains(1));
   EXPECT_EQ(swapped.execution.procs[4].decision, Value::bit(1));
   EXPECT_EQ(swapped.execution.procs[1].decision, Value::bit(0));
+}
+
+/// check_swap_preconditions as it stood before its M lookups were limited
+/// to messages addressed to p_i: every sent and receive-omitted message of
+/// every process is looked up in M.
+SwapPreconditions full_scan_reference(const ExecutionTrace& e, ProcessId p_i) {
+  SwapPreconditions pre;
+  const ProcessTrace& pt = e.procs.at(p_i);
+  for (const RoundEvents& re : pt.rounds) {
+    if (!re.send_omitted.empty()) {
+      pre.error = "subject commits send-omissions";
+      return pre;
+    }
+  }
+  std::set<MsgKey> m_set;
+  for (const RoundEvents& re : pt.rounds) {
+    for (const Message& m : re.receive_omitted) m_set.insert(m.key());
+  }
+  ProcessSet predicted;
+  for (ProcessId z = 0; z < e.params.n; ++z) {
+    bool faulty = false;
+    for (const RoundEvents& re : e.procs[z].rounds) {
+      for (const Message& m : re.sent) {
+        if (m_set.contains(m.key())) faulty = true;
+      }
+      if (!re.send_omitted.empty()) faulty = true;
+      for (const Message& m : re.receive_omitted) {
+        if (!m_set.contains(m.key())) faulty = true;
+      }
+    }
+    if (faulty) predicted.insert(z);
+  }
+  if (predicted.size() > e.params.t) {
+    pre.error = "|F'| = " + std::to_string(predicted.size()) +
+                " exceeds t = " + std::to_string(e.params.t);
+    return pre;
+  }
+  if (predicted.contains(p_i)) {
+    pre.error = "subject still faulty after swap";
+    return pre;
+  }
+  for (ProcessId h = 0; h < e.params.n; ++h) {
+    if (h == p_i || e.faulty.contains(h) || predicted.contains(h)) continue;
+    pre.ok = true;
+    pre.witness_correct = h;
+    pre.new_faulty = predicted;
+    return pre;
+  }
+  pre.error = "no correct witness process survives the swap";
+  return pre;
+}
+
+TEST(SwapOmission, PreconditionsMatchTheFullScanReference) {
+  // Executor-built traces (all pass validate()) from isolate_group
+  // families, crashes and send omissions, at several (n, t); every process
+  // is tried as the subject.
+  std::size_t compared = 0;
+  std::size_t accepted = 0;
+  for (const SystemParams params :
+       {SystemParams{6, 2}, SystemParams{8, 2}, SystemParams{10, 3},
+        SystemParams{16, 5}}) {
+    const std::uint32_t n = params.n;
+    const ProcessSet last_two = ProcessSet::range(n - 2, n);
+    const ProcessSet last_one = ProcessSet::range(n - 1, n);
+    std::vector<std::pair<std::string, Adversary>> adversaries = {
+        {"isolate {n-1} from 1", isolate_group(last_one, 1)},
+        {"crash", crash_schedule({{n - 1, 2}, {n - 2, 1}})},
+        {"mute {n-2, n-1} from 2", mute_group(last_two, 2)},
+        {"random send/receive omissions",
+         random_omissions(last_two, n, /*drop_permille=*/400)},
+    };
+    for (Round k = 1; k <= 3; ++k) {
+      adversaries.emplace_back("isolate {n-2, n-1} from " + std::to_string(k),
+                               isolate_group(last_two, k));
+    }
+    for (const char* name :
+         {"beacon", "gossip", "one-shot-echo", "phase-king", "floodset"}) {
+      const ProtocolFactory protocol =
+          *protocols::make_protocol_by_name(name, n);
+      for (const auto& [label, adversary] : adversaries) {
+        for (int bit = 0; bit <= 1; ++bit) {
+          const RunResult run =
+              run_execution(params, protocol,
+                            std::vector<Value>(n, Value::bit(bit)), adversary);
+          ASSERT_EQ(run.trace.validate(), std::nullopt) << name << " " << label;
+          for (ProcessId p = 0; p < n; ++p) {
+            const SwapPreconditions got =
+                check_swap_preconditions(run.trace, p);
+            const SwapPreconditions want = full_scan_reference(run.trace, p);
+            const std::string where = std::string(name) + " n=" +
+                                      std::to_string(n) + " " + label +
+                                      " bit=" + std::to_string(bit) +
+                                      " p" + std::to_string(p);
+            EXPECT_EQ(got.ok, want.ok) << where;
+            EXPECT_EQ(got.error, want.error) << where;
+            EXPECT_EQ(got.witness_correct, want.witness_correct) << where;
+            EXPECT_EQ(got.new_faulty, want.new_faulty) << where;
+            ++compared;
+            if (want.ok) ++accepted;
+          }
+        }
+      }
+    }
+  }
+  // Both verdicts occur, so the comparison covers each branch.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, compared);
 }
 
 }  // namespace

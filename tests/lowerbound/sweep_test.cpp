@@ -1,5 +1,6 @@
 #include "lowerbound/sweep.h"
 
+#include "faults/fault_spec.h"
 #include "protocols/weak_consensus.h"
 
 #include <gtest/gtest.h>
@@ -55,6 +56,22 @@ TEST(Sweep, ConsistencyFlagCatchesFabricatedRows) {
   cheap.bound = 10;  // "survives" below the bound: inconsistent
   r2.rows.push_back(cheap);
   EXPECT_FALSE(r2.theorem2_consistent());
+}
+
+TEST(Sweep, PoolNeverOutnumbersThePieces) {
+  // The pool gets min(resolve_jobs(jobs), pieces) workers. One grid point
+  // without a fault axis is one piece, so it runs serially whatever jobs
+  // asks for.
+  const std::vector<SweepEntry> one = {standard_sweep_entries().front()};
+  SweepOptions options;
+  options.jobs = 64;
+  EXPECT_EQ(run_attack_sweep(one, {{8, 2}}, options).jobs_used, 1u);
+  // A crash axis at t = 2 adds one piece per f in 0..2: four in all.
+  options.fault_axis = faults::FaultSpec{};
+  options.fault_axis->kind = *faults::find_fault_kind("crash");
+  EXPECT_EQ(run_attack_sweep(one, {{8, 2}}, options).jobs_used, 4u);
+  options.jobs = 3;
+  EXPECT_EQ(run_attack_sweep(one, {{8, 2}}, options).jobs_used, 3u);
 }
 
 }  // namespace

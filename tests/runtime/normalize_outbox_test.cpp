@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
 #include <vector>
 
 #include "runtime/fault.h"
@@ -79,6 +82,82 @@ TEST(NormalizeOutboxInto, ReusableAcrossCallsAndClearsOutput) {
   EXPECT_EQ(msgs[0].round, 2u);
   normalize_outbox_into({}, 0, 3, 4, seen, msgs);
   EXPECT_TRUE(msgs.empty());
+}
+
+/// The normalization as it stood before the sort became conditional: a
+/// std::set for first-wins dedup and an unconditional sort by receiver.
+std::vector<Message> always_sort_reference(const Outbox& out, ProcessId self,
+                                           Round r, std::uint32_t n) {
+  std::set<ProcessId> seen;
+  std::vector<Message> msgs;
+  for (const Outgoing& o : out) {
+    if (o.to == self || o.to >= n) continue;
+    if (!seen.insert(o.to).second) continue;
+    msgs.push_back(Message{self, o.to, r, o.payload});
+  }
+  std::sort(msgs.begin(), msgs.end(), [](const Message& a, const Message& b) {
+    return a.receiver < b.receiver;
+  });
+  return msgs;
+}
+
+/// One seeded outbox of the given shape. Payloads are the position in the
+/// outbox, so a first-wins slip shows up as a payload mismatch.
+Outbox random_outbox(std::mt19937_64& rng, int shape, std::uint32_t n,
+                     ProcessId self) {
+  std::vector<ProcessId> to;
+  switch (shape) {
+    case 0:  // multicast: every other process, ascending (already sorted)
+      for (ProcessId p = 0; p < n; ++p) {
+        if (p != self) to.push_back(p);
+      }
+      break;
+    case 1:  // multicast in descending order, self-send included
+      for (ProcessId p = n; p-- > 0;) to.push_back(p);
+      break;
+    case 2:  // sorted, with adjacent duplicates and out-of-range tails
+    case 3: {  // unsorted: duplicates, self-sends, out-of-range receivers
+      const std::size_t len = rng() % (2 * n + 3);
+      for (std::size_t i = 0; i < len; ++i) {
+        to.push_back(static_cast<ProcessId>(rng() % (n + 3)));
+      }
+      if (rng() % 4 == 0) to.push_back(kNoProcess);
+      if (shape == 2) std::sort(to.begin(), to.end());
+      break;
+    }
+    default:  // a few receivers, in random order, no duplicates
+      for (ProcessId p = 0; p < n; ++p) {
+        if (rng() % 3 == 0) to.push_back(p);
+      }
+      std::shuffle(to.begin(), to.end(), rng);
+      break;
+  }
+  Outbox out;
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    out.push_back(Outgoing{to[i], Value{static_cast<int>(i)}});
+  }
+  return out;
+}
+
+TEST(NormalizeOutboxInto, MatchesTheAlwaysSortReferenceOnSeededOutboxes) {
+  std::mt19937_64 rng(0x5eed0b0cULL);
+  std::vector<std::uint8_t> seen;
+  std::vector<Message> msgs;
+  for (int iter = 0; iter < 5000; ++iter) {
+    const std::uint32_t n = 1 + static_cast<std::uint32_t>(rng() % 40);
+    const auto self = static_cast<ProcessId>(rng() % n);
+    const auto r = static_cast<Round>(1 + rng() % 9);
+    const int shape = iter % 5;
+    const Outbox out = random_outbox(rng, shape, n, self);
+    // A bitmap wider than n must come back all-zero too.
+    seen.assign(n + iter % 3, 0);
+    normalize_outbox_into(out, self, r, n, seen, msgs);
+    ASSERT_EQ(msgs, always_sort_reference(out, self, r, n))
+        << "iter=" << iter << " shape=" << shape << " n=" << n;
+    ASSERT_TRUE(std::all_of(seen.begin(), seen.end(),
+                            [](std::uint8_t b) { return b == 0; }))
+        << "iter=" << iter << ": dedup bitmap not restored";
+  }
 }
 
 TEST(RoundScratch, FaultTablesResolveOncePerRun) {
